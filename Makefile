@@ -23,6 +23,9 @@ CI_CRASH_CLEAN := /tmp/apex-ci-crash-clean.json
 CI_CRASH_OUT := /tmp/apex-ci-crash-out.json
 CI_CHAOS_A := /tmp/apex-ci-chaos-a.json
 CI_CHAOS_B := /tmp/apex-ci-chaos-b.json
+CI_GOLDEN_CACHE := /tmp/apex-ci-golden-cache
+CI_GOLDEN_OUT := /tmp/apex-ci-golden.json
+DSE_GOLDEN := test/golden/dse_all.json
 
 # The daemon must receive SIGTERM itself (dune exec does not forward
 # signals to its child), so serve smoke steps run the built binary.
@@ -102,6 +105,7 @@ ci: build test
 	$(MAKE) ci-serve
 	$(MAKE) ci-crash
 	$(MAKE) ci-chaos
+	$(MAKE) ci-golden
 	$(MAKE) ci-bench
 
 # Serve smoke: start the daemon against a scratch store, submit a mixed
@@ -265,6 +269,18 @@ ci-faults:
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	rm -rf $(CI_FAULT_CACHE)
 
+# Results golden: a cold `dse --all` (empty store, --jobs 1) must print
+# exactly the committed rows.  Every placement, route and metric feeds
+# those rows, so a hot-path rewrite that moves a single placement fails
+# here.  A change that moves results on purpose regenerates the file
+# with the same command and says why in CHANGES.md.
+.PHONY: ci-golden
+ci-golden:
+	rm -rf $(CI_GOLDEN_CACHE)
+	APEX_CACHE_DIR=$(CI_GOLDEN_CACHE) dune exec bin/apex_cli.exe -- dse --all --json --jobs 1 > $(CI_GOLDEN_OUT)
+	cmp $(DSE_GOLDEN) $(CI_GOLDEN_OUT)
+	rm -rf $(CI_GOLDEN_CACHE) $(CI_GOLDEN_OUT)
+
 # Benchmark-trajectory regression gate: regenerate every snapshot into
 # a scratch directory and bench-diff it against the committed baseline
 # — any exact-counter drift, or a wall-clock band excursion beyond the
@@ -293,3 +309,4 @@ clean:
 	rm -f $(CI_CRASH_CLEAN) $(CI_CRASH_OUT) $(CI_CHAOS_A) $(CI_CHAOS_B)
 	rm -rf $(CI_CACHE) $(CI_FAULT_CACHE) $(CI_SNAP) $(CI_SERVE_CACHE)
 	rm -rf $(CI_CRASH_CACHE) $(CI_CRASH_CLEAN_CACHE)
+	rm -rf $(CI_GOLDEN_CACHE) $(CI_GOLDEN_OUT)

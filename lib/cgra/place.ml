@@ -10,11 +10,16 @@ type t = {
   wirelength : float;
 }
 
-(* a net: one driver and its sink points; points are either movable
-   instances or fixed coordinates *)
-type point = Inst of int | Fixed of int * int
-
-type net = point array
+(* a net: one driver and its sinks, split into the movable instances
+   among them and the bounding box of the fixed (I/O) points.  The box
+   is empty (max_int/min_int) when the net has no fixed point. *)
+type net = {
+  members : int array;
+  fminx : int;
+  fmaxx : int;
+  fminy : int;
+  fmaxy : int;
+}
 
 let input_names (m : Cover.t) =
   let names = ref [] in
@@ -35,6 +40,8 @@ let input_names (m : Cover.t) =
       | Cover.From_pe _ -> ())
     m.outputs;
   List.rev !names
+
+type point = Inst of int | Fixed of int * int
 
 let build_nets (m : Cover.t) ~input_loc ~output_loc =
   (* nets keyed by driver *)
@@ -69,32 +76,50 @@ let build_nets (m : Cover.t) ~input_loc ~output_loc =
       let x, y = output_loc name in
       add drv (Fixed (x, y)))
     m.outputs;
-  Hashtbl.fold (fun _ points acc -> Array.of_list points :: acc) tbl []
-  |> List.sort compare |> Array.of_list
+  let net points =
+    let members =
+      List.filter_map (function Inst i -> Some i | Fixed _ -> None) points
+    in
+    let fixed =
+      List.filter_map (function Fixed (x, y) -> Some (x, y) | Inst _ -> None) points
+    in
+    let fold f init sel = List.fold_left (fun acc p -> f acc (sel p)) init fixed in
+    { members = Array.of_list members;
+      fminx = fold min max_int fst;
+      fmaxx = fold max min_int fst;
+      fminy = fold min max_int snd;
+      fmaxy = fold max min_int snd }
+  in
+  Hashtbl.fold (fun _ points acc -> net points :: acc) tbl [] |> Array.of_list
 
-let net_hpwl loc (net : net) =
-  let minx = ref max_int and maxx = ref min_int in
-  let miny = ref max_int and maxy = ref min_int in
-  Array.iter
-    (fun p ->
-      let x, y = match p with Inst i -> loc.(i) | Fixed (x, y) -> (x, y) in
-      if x < !minx then minx := x;
-      if x > !maxx then maxx := x;
-      if y < !miny then miny := y;
-      if y > !maxy then maxy := y)
-    net;
-  float_of_int (!maxx - !minx + (!maxy - !miny))
+(* half-perimeter of a net, instance [i] sitting at (xs.(i), ys.(i));
+   integral, so sums of it are exact in any order *)
+let net_hpwl xs ys net =
+  let minx = ref net.fminx and maxx = ref net.fmaxx in
+  let miny = ref net.fminy and maxy = ref net.fmaxy in
+  let members = net.members in
+  for k = 0 to Array.length members - 1 do
+    let i = members.(k) in
+    let x = xs.(i) and y = ys.(i) in
+    if x < !minx then minx := x;
+    if x > !maxx then maxx := x;
+    if y < !miny then miny := y;
+    if y > !maxy then maxy := y
+  done;
+  !maxx - !minx + (!maxy - !miny)
 
-let total_cost loc nets =
-  Array.fold_left (fun acc net -> acc +. net_hpwl loc net) 0.0 nets
+let total_cost xs ys nets =
+  Array.fold_left (fun acc net -> acc + net_hpwl xs ys net) 0 nets
+
+module Counter = Apex_telemetry.Counter
 
 let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
   let n = Array.length m.instances in
   let pe_tiles = Array.of_list (Fabric.pe_positions fabric) in
-  if n > Array.length pe_tiles then
+  let ntiles = Array.length pe_tiles in
+  if n > ntiles then
     raise
-      (Does_not_fit
-         (Printf.sprintf "%d instances > %d PE tiles" n (Array.length pe_tiles)));
+      (Does_not_fit (Printf.sprintf "%d instances > %d PE tiles" n ntiles));
   let inputs = input_names m in
   let input_locs =
     List.mapi (fun i name -> (name, Fabric.io_west fabric i)) inputs
@@ -105,79 +130,99 @@ let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
   let input_loc name = List.assoc name input_locs in
   let output_loc name = List.assoc name output_locs in
   let nets = build_nets m ~input_loc ~output_loc in
+  (* locations are PE-tile indices; [xs]/[ys] mirror their coordinates *)
+  let tile_x = Array.map fst pe_tiles and tile_y = Array.map snd pe_tiles in
   (* initial placement: row-major *)
-  let loc = Array.init n (fun i -> pe_tiles.(i)) in
-  let occupied : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri (fun i p -> Hashtbl.replace occupied p i) loc;
+  let loc = Array.init n Fun.id in
+  let xs = Array.init n (fun i -> tile_x.(i)) in
+  let ys = Array.init n (fun i -> tile_y.(i)) in
+  let occupant = Array.init ntiles (fun t -> if t < n then t else -1) in
+  let set i t =
+    loc.(i) <- t;
+    xs.(i) <- tile_x.(t);
+    ys.(i) <- tile_y.(t)
+  in
   let nets_of = Array.make n [] in
   Array.iteri
     (fun ni net ->
       Array.iter
-        (function
-          | Inst i -> if not (List.mem ni nets_of.(i)) then nets_of.(i) <- ni :: nets_of.(i)
-          | Fixed _ -> ())
-        net)
+        (fun i -> if not (List.mem ni nets_of.(i)) then nets_of.(i) <- ni :: nets_of.(i))
+        net.members)
     nets;
-  let cost = ref (total_cost loc nets) in
+  let nets_of = Array.map Array.of_list nets_of in
   if effort > 0 && n > 1 then begin
     let st = Random.State.make [| seed |] in
     let moves_per_t = 20 * n * effort in
-    let t = ref (Float.max 1.0 (!cost *. 0.05)) in
-    let delta_for is =
-      (* recompute nets touching the moved instances *)
-      let nets_touched =
-        List.sort_uniq compare (List.concat_map (fun i -> nets_of.(i)) is)
-      in
-      List.fold_left (fun acc ni -> acc +. net_hpwl loc nets.(ni)) 0.0 nets_touched
+    let t = ref (Float.max 1.0 (float_of_int (total_cost xs ys nets) *. 0.05)) in
+    (* the nets touching a move, each once: stamped with the move's epoch *)
+    let stamp = Array.make (Array.length nets) (-1) in
+    let touched = Array.make (Array.length nets) 0 in
+    let n_touched = ref 0 in
+    let add_nets epoch i =
+      let ns = nets_of.(i) in
+      for k = 0 to Array.length ns - 1 do
+        let ni = ns.(k) in
+        if stamp.(ni) <> epoch then begin
+          stamp.(ni) <- epoch;
+          touched.(!n_touched) <- ni;
+          incr n_touched
+        end
+      done
     in
+    let touched_cost () =
+      let c = ref 0 in
+      for k = 0 to !n_touched - 1 do
+        c := !c + net_hpwl xs ys nets.(touched.(k))
+      done;
+      !c
+    in
+    (* HPWLs are integers far below 2^53, so [d] equals the difference of
+       the float costs the acceptance rule was defined on *)
+    let accept before after =
+      let d = float_of_int (after - before) in
+      d <= 0.0 || Random.State.float st 1.0 < exp (-.d /. !t)
+    in
+    let moves = ref 0 and accepted = ref 0 and steps = ref 0 in
     while !t > 0.05 do
+      incr steps;
       for _ = 1 to moves_per_t do
         let i = Random.State.int st n in
-        let target = pe_tiles.(Random.State.int st (Array.length pe_tiles)) in
-        let old_i = loc.(i) in
-        if target <> old_i then begin
-          match Hashtbl.find_opt occupied target with
-          | Some j when j = i -> ()
-          | Some j ->
-              (* swap i and j *)
-              let before = delta_for [ i; j ] in
-              loc.(i) <- target;
-              loc.(j) <- old_i;
-              let after = delta_for [ i; j ] in
-              let d = after -. before in
-              if d <= 0.0 || Random.State.float st 1.0 < exp (-.d /. !t) then begin
-                Hashtbl.replace occupied target i;
-                Hashtbl.replace occupied old_i j;
-                cost := !cost +. d
-              end
-              else begin
-                loc.(i) <- old_i;
-                loc.(j) <- target
-              end
-          | None ->
-              let before = delta_for [ i ] in
-              loc.(i) <- target;
-              let after = delta_for [ i ] in
-              let d = after -. before in
-              if d <= 0.0 || Random.State.float st 1.0 < exp (-.d /. !t) then begin
-                Hashtbl.remove occupied old_i;
-                Hashtbl.replace occupied target i;
-                cost := !cost +. d
-              end
-              else loc.(i) <- old_i
+        let target = Random.State.int st ntiles in
+        let old_t = loc.(i) in
+        incr moves;
+        if target <> old_t then begin
+          let j = occupant.(target) in
+          n_touched := 0;
+          add_nets !moves i;
+          if j >= 0 then add_nets !moves j;
+          let before = touched_cost () in
+          set i target;
+          if j >= 0 then set j old_t;
+          if accept before (touched_cost ()) then begin
+            occupant.(target) <- i;
+            occupant.(old_t) <- j;
+            incr accepted
+          end
+          else begin
+            set i old_t;
+            if j >= 0 then set j target
+          end
         end
       done;
       t := !t *. 0.8
-    done
+    done;
+    Counter.add "pnr.place_moves" !moves;
+    Counter.add "pnr.place_accepted" !accepted;
+    Counter.add "pnr.temp_steps" !steps
   end;
   { fabric;
-    loc;
+    loc = Array.map (fun t -> pe_tiles.(t)) loc;
     input_locs;
     output_locs;
-    wirelength = total_cost loc nets }
+    wirelength = float_of_int (total_cost xs ys nets) }
 
 let hpwl p (m : Cover.t) =
   let input_loc name = List.assoc name p.input_locs in
   let output_loc name = List.assoc name p.output_locs in
   let nets = build_nets m ~input_loc ~output_loc in
-  total_cost p.loc nets
+  float_of_int (total_cost (Array.map fst p.loc) (Array.map snd p.loc) nets)

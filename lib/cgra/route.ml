@@ -60,65 +60,151 @@ let extract_nets (p : Place.t) (m : Cover.t) =
     tbl []
   |> List.sort compare
 
-let neighbors fabric (x, y) =
-  List.filter
-    (fun (nx, ny) ->
-      Fabric.in_bounds fabric ~x:nx ~y:ny
-      || nx = -1 || nx = fabric.Fabric.width (* IO columns *))
-    [ (x + 1, y); (x - 1, y); (x, y + 1); (x, y - 1) ]
+(* The routing graph: every fabric tile plus the I/O columns just
+   outside it (x = -1 and x = width), rows 0 .. height-1, numbered
+   column-major so that index order is (x, y) order.  A hop is numbered
+   by its start node and direction.  (The I/O columns continue past the
+   top and bottom rows only as dead ends no route uses, so they are not
+   part of the graph.) *)
+type grid = { fabric : Fabric.t; height : int; n_nodes : int }
+
+let grid fabric =
+  let height = fabric.Fabric.height in
+  { fabric; height; n_nodes = (fabric.Fabric.width + 2) * height }
+
+let index gr (x, y) = ((x + 1) * gr.height) + y
+
+let coords gr i = ((i / gr.height) - 1, i mod gr.height)
+
+(* directions in the order neighbors are relaxed *)
+let dx = [| 1; -1; 0; 0 |]
+
+let dy = [| 0; 0; 1; -1 |]
+
+(* the node one step from [u] in direction [dir], or -1 *)
+let neighbor gr u dir =
+  let x, y = coords gr u in
+  let nx = x + dx.(dir) and ny = y + dy.(dir) in
+  if
+    ny >= 0 && ny < gr.height
+    && (Fabric.in_bounds gr.fabric ~x:nx ~y:ny
+       || nx = -1 || nx = gr.fabric.Fabric.width)
+  then index gr (nx, ny)
+  else -1
+
+let hop_id u dir = (4 * u) + dir
+
+let hop_of_id gr h =
+  let u = h / 4 in
+  (coords gr u, coords gr (neighbor gr u (h mod 4)))
+
+(* Binary min-heap of (distance, node) entries, ordered like the pairs'
+   structural comparison.  An entry pushed twice stays twice; the twin
+   pops right after its first copy and relaxes nothing. *)
+module Heap = struct
+  type t = { mutable keys : float array; mutable vals : int array; mutable size : int }
+
+  let create () = { keys = Array.make 64 0.0; vals = Array.make 64 0; size = 0 }
+
+  let less h i j =
+    let c = Float.compare h.keys.(i) h.keys.(j) in
+    c < 0 || (c = 0 && h.vals.(i) < h.vals.(j))
+
+  let swap h i j =
+    let k = h.keys.(i) and v = h.vals.(i) in
+    h.keys.(i) <- h.keys.(j);
+    h.vals.(i) <- h.vals.(j);
+    h.keys.(j) <- k;
+    h.vals.(j) <- v
+
+  let push h key v =
+    if h.size = Array.length h.keys then begin
+      let grow a fill =
+        let b = Array.make (2 * h.size) fill in
+        Array.blit a 0 b 0 h.size;
+        b
+      in
+      h.keys <- grow h.keys 0.0;
+      h.vals <- grow h.vals 0
+    end;
+    h.keys.(h.size) <- key;
+    h.vals.(h.size) <- v;
+    let i = ref h.size in
+    h.size <- h.size + 1;
+    while !i > 0 && less h !i ((!i - 1) / 2) do
+      swap h !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  (* remove the minimum; read it first with [min_key]/[min_val] *)
+  let pop h =
+    h.size <- h.size - 1;
+    swap h 0 h.size;
+    let i = ref 0 and stop = ref false in
+    while not !stop do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let m = if l < h.size && less h l !i then l else !i in
+      let m = if r < h.size && less h r m then r else m in
+      if m = !i then stop := true
+      else begin
+        swap h !i m;
+        i := m
+      end
+    done
+
+  let min_key h = h.keys.(0)
+  let min_val h = h.vals.(0)
+end
+
+(* per-route search state, reused by every Dijkstra of the route *)
+type search = { dist : float array; prev : int array; heap : Heap.t }
 
 (* Dijkstra from a set of tree nodes to one target over congestion-aware
-   edge costs *)
-let shortest fabric ~cost ~sources ~target =
-  let dist : (int * int, float) Hashtbl.t = Hashtbl.create 256 in
-  let prev : (int * int, int * int) Hashtbl.t = Hashtbl.create 256 in
-  let module Pq = Set.Make (struct
-    type t = float * (int * int)
-
-    let compare = compare
-  end) in
-  let pq = ref Pq.empty in
+   hop costs; the path as hop ids, source side first *)
+let shortest gr sr ~cost ~sources ~target =
+  let dist = sr.dist and prev = sr.prev and pq = sr.heap in
+  Array.fill dist 0 gr.n_nodes Float.infinity;
+  Array.fill prev 0 gr.n_nodes (-1);
+  pq.Heap.size <- 0;
   List.iter
     (fun s ->
-      Hashtbl.replace dist s 0.0;
-      pq := Pq.add (0.0, s) !pq)
+      dist.(s) <- 0.0;
+      Heap.push pq 0.0 s)
     sources;
   let found = ref false in
-  while (not !found) && not (Pq.is_empty !pq) do
-    let ((d, u) as elt) = Pq.min_elt !pq in
-    pq := Pq.remove elt !pq;
-    if d <= Hashtbl.find dist u +. 1e-9 then begin
+  while (not !found) && pq.Heap.size > 0 do
+    let d = Heap.min_key pq and u = Heap.min_val pq in
+    Heap.pop pq;
+    if d <= dist.(u) +. 1e-9 then begin
       if u = target then found := true
       else
-        List.iter
-          (fun v ->
-            let c = d +. cost (u, v) in
-            let better =
-              match Hashtbl.find_opt dist v with
-              | None -> true
-              | Some dv -> c < dv -. 1e-12
-            in
-            if better then begin
-              Hashtbl.replace dist v c;
-              Hashtbl.replace prev v u;
-              pq := Pq.add (c, v) !pq
-            end)
-          (neighbors fabric u)
+        for dir = 0 to 3 do
+          let v = neighbor gr u dir in
+          if v >= 0 then begin
+            let c = d +. cost (hop_id u dir) in
+            if c < dist.(v) -. 1e-12 then begin
+              dist.(v) <- c;
+              prev.(v) <- hop_id u dir;
+              Heap.push pq c v
+            end
+          end
+        done
     end
   done;
   if not !found then None
   else begin
     let rec walk node acc =
-      match Hashtbl.find_opt prev node with
-      | None -> acc
-      | Some p -> walk p ((p, node) :: acc)
+      match prev.(node) with
+      | -1 -> acc
+      | h -> walk (h / 4) (h :: acc)
     in
     Some (walk target [])
   end
 
-let route_net fabric ~cost ~source ~sinks =
+let route_net gr sr ~cost ~source ~sinks =
   (* grow a tree: route each sink from the current tree *)
-  let tree_nodes = ref [ source ] in
+  let tree_nodes = ref [ index gr source ] in
   let tree_edges = ref [] in
   let sinks =
     List.sort
@@ -130,13 +216,15 @@ let route_net fabric ~cost ~source ~sinks =
   let ok = ref true in
   List.iter
     (fun sink ->
+      let sink = index gr sink in
       if !ok && not (List.mem sink !tree_nodes) then
-        match shortest fabric ~cost ~sources:!tree_nodes ~target:sink with
+        match shortest gr sr ~cost ~sources:!tree_nodes ~target:sink with
         | None -> ok := false
         | Some path ->
             List.iter
-              (fun ((_, b) as e) ->
-                if not (List.mem e !tree_edges) then tree_edges := e :: !tree_edges;
+              (fun h ->
+                let b = neighbor gr (h / 4) (h mod 4) in
+                if not (List.mem h !tree_edges) then tree_edges := h :: !tree_edges;
                 if not (List.mem b !tree_nodes) then tree_nodes := b :: !tree_nodes)
               path)
     sinks;
@@ -144,58 +232,63 @@ let route_net fabric ~cost ~source ~sinks =
 
 let route ?(max_iters = 30) (p : Place.t) (m : Cover.t) =
   let fabric = p.fabric in
+  let gr = grid fabric in
   let nets = extract_nets p m in
   let capacity = fabric.Fabric.params.word_tracks in
-  let usage : (hop, int) Hashtbl.t = Hashtbl.create 1024 in
-  let history : (hop, float) Hashtbl.t = Hashtbl.create 1024 in
-  let get tbl k d = Option.value ~default:d (Hashtbl.find_opt tbl k) in
+  let n_hops = 4 * gr.n_nodes in
+  let usage = Array.make n_hops 0 in
+  let history = Array.make n_hops 0.0 in
+  let sr =
+    { dist = Array.make gr.n_nodes 0.0;
+      prev = Array.make gr.n_nodes (-1);
+      heap = Heap.create () }
+  in
+  let cost h =
+    let u = usage.(h) in
+    let over = if u >= capacity then 4.0 *. float_of_int (u - capacity + 1) else 0.0 in
+    1.0 +. history.(h) +. over
+  in
   let routed = ref [] in
   let iterations = ref 0 in
   let legal = ref false in
   while (not !legal) && !iterations < max_iters do
     incr iterations;
-    Hashtbl.reset usage;
+    Array.fill usage 0 n_hops 0;
     routed := [];
     List.iter
       (fun (name, width, source, sinks) ->
-        let cost (e : hop) =
-          let u = get usage e 0 in
-          let h = get history e 0.0 in
-          let over = if u >= capacity then 4.0 *. float_of_int (u - capacity + 1) else 0.0 in
-          1.0 +. h +. over
-        in
-        match route_net fabric ~cost ~source ~sinks with
+        match route_net gr sr ~cost ~source ~sinks with
         | None -> failwith ("Route: net unroutable: " ^ name)
         | Some tree ->
-            List.iter (fun e -> Hashtbl.replace usage e (get usage e 0 + 1)) tree;
-            routed := { name; width; source; sinks; tree; tracks = [] } :: !routed)
+            List.iter (fun h -> usage.(h) <- usage.(h) + 1) tree;
+            routed := (name, width, source, sinks, tree) :: !routed)
       nets;
     (* congestion check *)
     let over = ref 0 in
-    Hashtbl.iter
-      (fun e u ->
+    Array.iteri
+      (fun h u ->
         if u > capacity then begin
           incr over;
-          Hashtbl.replace history e (get history e 0.0 +. 1.0)
+          history.(h) <- history.(h) +. 1.0
         end)
       usage;
     if !over = 0 then legal := true
   done;
   (* detailed routing: give each net a concrete track index per hop
      (first free track on that boundary, in net order) *)
-  let track_next : (hop, int) Hashtbl.t = Hashtbl.create 256 in
+  let track_next = Array.make n_hops 0 in
   let nets =
     List.rev_map
-      (fun n ->
+      (fun (name, width, source, sinks, tree) ->
         let tracks =
           List.map
-            (fun e ->
-              let t = get track_next e 0 in
-              Hashtbl.replace track_next e (t + 1);
-              (e, t))
-            n.tree
+            (fun h ->
+              let t = track_next.(h) in
+              track_next.(h) <- t + 1;
+              (hop_of_id gr h, t))
+            tree
         in
-        { n with tracks })
+        { name; width; source; sinks; tree = List.map fst tracks; tracks })
       !routed
   in
   let word_hops, bit_hops =
@@ -207,9 +300,7 @@ let route ?(max_iters = 30) (p : Place.t) (m : Cover.t) =
       (0, 0) nets
   in
   let overuse =
-    let count = ref 0 in
-    Hashtbl.iter (fun _ u -> if u > capacity then incr count) usage;
-    !count
+    Array.fold_left (fun acc u -> if u > capacity then acc + 1 else acc) 0 usage
   in
   { nets; word_hops; bit_hops; overuse; iterations = !iterations }
 

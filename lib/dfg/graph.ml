@@ -21,7 +21,10 @@ let succs g =
     g.nodes;
   Array.map List.rev s
 
-let fanout g i = List.length (succs g).(i)
+let fanout g i =
+  Array.fold_left
+    (fun acc n -> Array.fold_left (fun acc a -> if a = i then acc + 1 else acc) acc n.args)
+    0 g.nodes
 
 let compute_ids g =
   Array.to_list g.nodes
@@ -174,6 +177,8 @@ let annotate_widths g widths =
   g.widths <- Some (Array.copy widths)
 
 let widths g = Option.map Array.copy g.widths
+
+let unannotated g = { g with widths = None }
 
 let op_histogram g =
   let tbl = Hashtbl.create 16 in

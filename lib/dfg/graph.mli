@@ -27,6 +27,8 @@ val succs : t -> int list array
     result, in increasing order. *)
 
 val fanout : t -> int -> int
+(** Number of argument slots reading the node: [List.length (succs g).(i)],
+    counted without building the successor lists. *)
 
 val compute_ids : t -> int list
 (** Ids of the compute nodes (see {!Op.is_compute}), increasing. *)
@@ -86,6 +88,10 @@ val annotate_widths : t -> int array -> unit
 
 val widths : t -> int array option
 (** The width annotation, if {!annotate_widths} has been called. *)
+
+val unannotated : t -> t
+(** The same nodes with no width annotation: a private graph to annotate
+    when the original is shared. *)
 
 val op_histogram : t -> (string * int) list
 (** Number of nodes per {!Op.mnemonic}, sorted by mnemonic. *)

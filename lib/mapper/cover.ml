@@ -40,10 +40,6 @@ let pattern_consts p =
   |> List.filter_map (fun (n : G.node) ->
          if Op.is_const n.op then Some n.id else None)
 
-let pattern_sinks p =
-  let pg = Pattern.graph p in
-  G.io_outputs pg |> List.map (fun (n : G.node) -> n.args.(0))
-
 (* specialize a rule's config to a concrete match: copy matched
    constants into the constant registers and matched LUT tables into
    the LUT ops.  Returns None when two pattern constants would require
@@ -103,6 +99,11 @@ let map_app ?(order = Complex_first) ~rules app =
     | Complex_first -> List.sort (fun (a : Rules.t) b -> compare b.size a.size) rules
     | Simple_first -> List.sort (fun (a : Rules.t) b -> compare a.size b.size) rules
   in
+  let plans =
+    List.map
+      (fun (r : Rules.t) -> (r, Match.compile ~wild_consts:r.wild_consts r.pattern))
+      rules
+  in
   let n = G.length app in
   let succs = G.succs app in
   let covered = Array.make n false in
@@ -161,51 +162,52 @@ let map_app ?(order = Complex_first) ~rules app =
       !ok
     end
   in
-  let try_rule (rule : Rules.t) root =
+  let attempts = ref 0 and anchor_rejects = ref 0 in
+  let try_rule ((rule : Rules.t), plan) root =
     if not covered.(root) then begin
-      Counter.incr "mapper.cover_attempts";
-      let bindings =
-        Match.matches_at ~wild_consts:rule.Rules.wild_consts rule.pattern app
-          ~root
-      in
-      let sinks = pattern_sinks rule.pattern in
-      let viable (b : Match.binding) =
-        let image = List.map snd b.nodes in
-        List.for_all
-          (fun (p, a) ->
-            let pop = (G.node (Pattern.graph rule.pattern) p).op in
-            if Op.is_const pop then Op.is_const (G.node app a).op
-            else
-              (not covered.(a))
-              && (* interior results must stay inside the match *)
-              (List.mem p sinks
-              || List.for_all (fun s -> List.mem s image) succs.(a)))
-          b.nodes
-        && (* inputs must not be constants: the $-variants cover those *)
-        List.for_all
-          (fun (_, a) -> not (Op.is_const (G.node app a).op))
-          b.inputs
-        && acyclic_with image
-      in
-      match List.find_opt viable bindings with
-      | None -> ()
-      | Some binding -> (
-          match specialize rule app binding with
-          | None -> ()
-          | Some config ->
-              List.iter
-                (fun (p, a) ->
-                  if
-                    Op.is_compute
-                      (G.node (Pattern.graph rule.pattern) p).op
-                  then begin
-                    covered.(a) <- true;
-                    owner.(a) <- !n_accepted
-                  end)
-                binding.nodes;
-              incr n_accepted;
-              Counter.incr "mapper.matches_accepted";
-              accepted := (rule, binding, config) :: !accepted)
+      incr attempts;
+      if not (Match.anchor_matches plan app ~root) then incr anchor_rejects
+      else begin
+        let bindings = Match.run plan app ~succs ~root in
+        let sinks = Match.sinks plan in
+        let viable (b : Match.binding) =
+          let image = List.map snd b.nodes in
+          List.for_all
+            (fun (p, a) ->
+              let pop = (G.node (Pattern.graph rule.pattern) p).op in
+              if Op.is_const pop then Op.is_const (G.node app a).op
+              else
+                (not covered.(a))
+                && (* interior results must stay inside the match *)
+                (List.mem p sinks
+                || List.for_all (fun s -> List.mem s image) succs.(a)))
+            b.nodes
+          && (* inputs must not be constants: the $-variants cover those *)
+          List.for_all
+            (fun (_, a) -> not (Op.is_const (G.node app a).op))
+            b.inputs
+          && acyclic_with image
+        in
+        match List.find_opt viable bindings with
+        | None -> ()
+        | Some binding -> (
+            match specialize rule app binding with
+            | None -> ()
+            | Some config ->
+                List.iter
+                  (fun (p, a) ->
+                    if
+                      Op.is_compute
+                        (G.node (Pattern.graph rule.pattern) p).op
+                    then begin
+                      covered.(a) <- true;
+                      owner.(a) <- !n_accepted
+                    end)
+                  binding.nodes;
+                incr n_accepted;
+                Counter.incr "mapper.matches_accepted";
+                accepted := (rule, sinks, binding, config) :: !accepted)
+      end
     end
   in
   List.iter
@@ -213,7 +215,9 @@ let map_app ?(order = Complex_first) ~rules app =
       for root = n - 1 downto 0 do
         try_rule rule root
       done)
-    rules;
+    plans;
+  Counter.add "mapper.cover_attempts" !attempts;
+  Counter.add "mapper.anchor_rejects" !anchor_rejects;
   (* every compute node must be covered *)
   Array.iter
     (fun (nd : G.node) ->
@@ -227,7 +231,7 @@ let map_app ?(order = Complex_first) ~rules app =
   (* producer map: app compute node -> (instance, PE output position) *)
   let producer = Hashtbl.create 64 in
   Array.iteri
-    (fun idx ((rule : Rules.t), (binding : Match.binding), (config : D.config)) ->
+    (fun idx ((rule : Rules.t), sinks, (binding : Match.binding), (config : D.config)) ->
       let compute_nodes = pattern_compute rule.pattern in
       List.iter
         (fun sink ->
@@ -243,7 +247,7 @@ let map_app ?(order = Complex_first) ~rules app =
           match List.find_opt (fun (_, m) -> m = fu) config.D.outputs with
           | Some (pos, _) -> Hashtbl.replace producer a (idx, pos)
           | None -> raise (Unmappable "sink not exposed on any PE output"))
-        (pattern_sinks rule.pattern))
+        sinks)
     accepted;
   let resolve a =
     match (G.node app a).op with
@@ -259,7 +263,7 @@ let map_app ?(order = Complex_first) ~rules app =
   in
   let instances =
     Array.mapi
-      (fun idx ((rule : Rules.t), (binding : Match.binding), (config : D.config)) ->
+      (fun idx ((rule : Rules.t), _, (binding : Match.binding), (config : D.config)) ->
         let inputs =
           List.map
             (fun (pi, a) ->

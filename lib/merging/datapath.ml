@@ -39,8 +39,12 @@ let of_pattern p =
      unconstrained, so a width proven here is context-free — valid for
      every embedding of the pattern and every configuration realizing
      it.  Every narrowing inside [w] was SMT-discharged (or reverted)
-     by [Width.infer]'s ladder. *)
-  let w = Width.infer pg in
+     by [Width.infer]'s ladder.  Inference annotates the graph it runs
+     on, and the pattern graph is shared (memoized, or loaded from the
+     store without annotation): annotating it would make every later
+     reader, lint's APX110 among them, depend on whether a merge ran
+     earlier in the process.  So it runs on a private copy. *)
+  let w = Width.infer (G.unannotated pg) in
   let pw (n : G.node) nat = min nat w.Width.widths.(n.G.id) in
   let nodes = ref [] in
   let edges = ref [] in

@@ -96,6 +96,96 @@ let test_place_deterministic () =
   let p2 = Place.place ~seed:5 fabric mapped in
   Alcotest.(check bool) "same placement" true (p1.loc = p2.loc)
 
+(* Golden placements and routes, recorded before the placer moved to
+   tile-index locations and integer costs and the router to a binary
+   heap.  The annealer's RNG call order and acceptance rule are part of
+   the results contract (place.mli): any change that moves a placement
+   or a route fails here.  Locations render as "x,y;x,y;..."; camera's
+   240 of them are recorded as the MD5 of that rendering. *)
+
+let render_loc (p : Place.t) =
+  String.concat ";"
+    (Array.to_list (Array.map (fun (x, y) -> Printf.sprintf "%d,%d" x y) p.loc))
+
+let render_tracks (r : Route.t) =
+  String.concat "|"
+    (List.map
+       (fun (n : Route.net) ->
+         n.name ^ ":"
+         ^ String.concat ";"
+             (List.map
+                (fun (((a, b), (c, d)), t) -> Printf.sprintf "%d,%d>%d,%d@%d" a b c d t)
+                n.tracks))
+       r.nets)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let baseline_mapped name =
+  let dp = Library.baseline () in
+  Cover.map_app ~rules:(Rules.single_op_rules dp) (Apps.by_name name).graph
+
+let golden_placements =
+  (* app, seed, loc (or its MD5), wirelength, word hops, route MD5 *)
+  [ ( "gaussian", 1,
+      "2,3;1,3;0,7;1,12;5,12;5,9;5,3;4,3;4,4;4,9;4,10;5,10;6,10;6,7;4,7;2,7;\
+       9,3;9,5;8,7;8,8;6,6;5,5;2,5;1,5;9,6;9,7;6,8;6,9;4,8;2,8;1,8;1,9;1,4;\
+       0,12;4,12;4,5;5,8;5,13;6,11;2,6;9,4;5,11;6,12;5,6;0,5;9,8;6,14;4,6;\
+       2,4;1,7;16,3;30,4;18,3;16,4",
+      375.0, 392, "07bf23017d0eb51b48f2e55ecf2bb495" );
+    ( "gaussian", 5,
+      "8,3;8,2;6,3;4,13;5,13;4,11;0,7;0,5;14,4;12,4;10,5;10,11;2,11;2,10;\
+       2,6;4,6;13,2;13,4;8,7;5,7;5,6;5,5;4,5;4,9;12,5;6,8;2,9;2,8;1,5;1,6;\
+       1,7;1,11;9,2;1,13;6,13;0,6;12,3;6,11;2,12;4,4;13,5;4,12;4,10;5,4;\
+       4,7;6,7;1,9;1,4;0,1;1,10;25,3;28,4;13,1;21,3",
+      375.0, 383, "7083b1d9562710c47916a922c6d38e00" );
+    ( "camera", 1, "8efa27463b743c879589c130160ab5f0", 940.0, 971,
+      "f58c2e4346883e876b872c06835ac5a1" );
+    ( "camera", 5, "f7ce82b0f556273c374bfc5bc62b8842", 897.0, 922,
+      "dec8d43f5b73a57c2c6cc8ef6661f380" ) ]
+
+let test_place_golden () =
+  let fabric = Fabric.create () in
+  List.iter
+    (fun (app, seed, loc, wl, _, _) ->
+      let p = Place.place ~seed fabric (baseline_mapped app) in
+      let what = Printf.sprintf "%s seed %d" app seed in
+      let got = render_loc p in
+      check Alcotest.string (what ^ " loc") loc
+        (if String.length loc = 32 then md5 got else got);
+      check (Alcotest.float 0.0) (what ^ " wirelength") wl p.wirelength)
+    golden_placements
+
+let test_route_golden () =
+  let fabric = Fabric.create () in
+  List.iter
+    (fun (app, seed, _, _, hops, digest) ->
+      let mapped = baseline_mapped app in
+      let r = Route.route (Place.place ~seed fabric mapped) mapped in
+      let what = Printf.sprintf "%s seed %d" app seed in
+      check int (what ^ " word hops") hops r.word_hops;
+      check int (what ^ " overuse") 0 r.overuse;
+      check int (what ^ " iterations") 1 r.iterations;
+      check Alcotest.string (what ^ " tracks") digest (md5 (render_tracks r)))
+    golden_placements;
+  (* starved fabrics: rip-up and reroute with history costs, to
+     convergence (2 tracks) and to the iteration cap (1 track) *)
+  let mapped = baseline_mapped "gaussian" in
+  List.iter
+    (fun (tracks, hops, overuse, iterations, digest) ->
+      let fabric =
+        Fabric.create
+          ~params:{ Apex_models.Interconnect.word_tracks = tracks; bit_tracks = tracks }
+          ()
+      in
+      let r = Route.route (Place.place ~seed:1 fabric mapped) mapped in
+      let what = Printf.sprintf "%d tracks" tracks in
+      check int (what ^ " word hops") hops r.word_hops;
+      check int (what ^ " overuse") overuse r.overuse;
+      check int (what ^ " iterations") iterations r.iterations;
+      check Alcotest.string (what ^ " tracks") digest (md5 (render_tracks r)))
+    [ (1, 517, 23, 30, "bb5031d3c5d86405c4f2fdbb57fd038a");
+      (2, 408, 0, 4, "8454597e8a7535a3242dd4ac56cb86a1") ]
+
 (* --- routing --- *)
 
 let test_route_legal () =
@@ -299,12 +389,14 @@ let () =
         [ Alcotest.test_case "distinct PE tiles" `Quick test_place_distinct_tiles;
           Alcotest.test_case "annealing improves" `Quick test_place_improves_wirelength;
           Alcotest.test_case "does not fit" `Quick test_place_does_not_fit;
-          Alcotest.test_case "deterministic" `Quick test_place_deterministic ] );
+          Alcotest.test_case "deterministic" `Quick test_place_deterministic;
+          Alcotest.test_case "golden placements" `Quick test_place_golden ] );
       ( "route",
         [ Alcotest.test_case "legal" `Quick test_route_legal;
           Alcotest.test_case "trees connect" `Quick test_route_trees_connect_sinks;
           Alcotest.test_case "track assignment" `Quick test_track_assignment_legal;
-          Alcotest.test_case "routing-only tiles" `Quick test_routing_only_tiles ] );
+          Alcotest.test_case "routing-only tiles" `Quick test_routing_only_tiles;
+          Alcotest.test_case "golden routes" `Quick test_route_golden ] );
       ( "bitstream",
         [ Alcotest.test_case "pack/unpack roundtrip" `Quick test_pack_unpack_roundtrip;
           Alcotest.test_case "covers instances" `Quick test_bitstream_covers_instances ] );

@@ -129,7 +129,21 @@ let test_succs_fanout () =
     (fun k a ->
       let expected = 1 in
       check int (Printf.sprintf "fanout of add %d" k) expected (G.fanout g a))
-    adds
+    adds;
+  (* a consumer reading a node twice counts twice, as in succs *)
+  let b = G.Builder.create () in
+  let x = G.Builder.add0 b (Op.Input "x") in
+  let sq = G.Builder.add2 b Op.Mul x x in
+  ignore (G.Builder.add1 b (Op.Output "o") (G.Builder.add2 b Op.Add sq x));
+  List.iter
+    (fun g ->
+      let succs = G.succs g in
+      Array.iteri
+        (fun i s ->
+          check int (Printf.sprintf "fanout of %d" i) (List.length s) (G.fanout g i))
+        succs)
+    [ g; G.Builder.finish b ];
+  check int "x read three times" 3 (G.fanout (G.Builder.finish b) x)
 
 let test_histogram () =
   let g = conv4 () in

@@ -517,6 +517,39 @@ let test_all_apps_clean_optimized () =
   check Alcotest.int "no warnings on optimized apps" 0 (Engine.warnings report);
   check Alcotest.int "werror-clean" 0 (Engine.exit_code ~werror:true report)
 
+let test_lint_independent_of_history () =
+  (* the same lint job against one store, first cold (the merge builds
+     the variant from freshly mined patterns) then warm (the variant's
+     patterns come back from the store): width inference inside the
+     merge must not leave an annotation that changes APX110 *)
+  let module Store = Apex_exec.Store in
+  let dir = Filename.temp_file "apex-lint-test" "" in
+  Sys.remove dir;
+  let was_enabled = Store.enabled () and was_dir = Store.cache_dir () in
+  Store.set_dir dir;
+  Store.set_enabled true;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.set_enabled was_enabled;
+      Store.set_dir was_dir;
+      if Sys.file_exists dir then rm dir)
+  @@ fun () ->
+  let lint () =
+    Apex.Dse.with_local_memo @@ fun () ->
+    Apex.Variants.with_local_memo @@ fun () ->
+    Apex_telemetry.Json.to_string
+      (Apex.Jobs.run (Apex.Jobs.Lint { apps = [ "gaussian" ] }))
+  in
+  let cold = lint () in
+  check Alcotest.string "warm lint equals cold lint" cold (lint ())
+
 (* --- width checker (APX11x) and code filters --- *)
 
 (* x&0xff + y&0xff: the sum has 9 live bits, the masked inputs 8 *)
@@ -703,4 +736,6 @@ let () =
           Alcotest.test_case "catalog" `Quick test_catalog_complete;
           Alcotest.test_case "all apps clean" `Quick test_all_apps_clean;
           Alcotest.test_case "all apps clean (optimized)" `Quick
-            test_all_apps_clean_optimized ] ) ]
+            test_all_apps_clean_optimized;
+          Alcotest.test_case "independent of history" `Quick
+            test_lint_independent_of_history ] ) ]

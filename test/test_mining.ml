@@ -412,9 +412,140 @@ let prop_miner_matches_brute_force =
       in
       mined_sets = brute_force_embeddings g 3)
 
+(* brute-force matcher oracle: every injective, operation-preserving
+   assignment of the pattern's internal nodes with the anchor (last
+   internal node) at [root], under every port order of its commutative
+   binary nodes, kept when each internal edge is mirrored, shared
+   pattern inputs bind consistently, and the bound inputs are distinct
+   and outside the internal image.  No edge-driven search. *)
+let brute_force_bindings ~wild p g ~root =
+  let pg = Pattern.graph p in
+  let pnode i = G.node pg i and gnode i = G.node g i in
+  let ops_match a b =
+    Op.equal a b
+    || wild
+       && (match (a, b) with
+          | Op.Const _, Op.Const _ | Op.Bit_const _, Op.Bit_const _ | Op.Lut _, Op.Lut _ -> true
+          | _ -> false)
+  in
+  let internal =
+    List.filter
+      (fun i -> Op.is_compute (pnode i).op || Op.is_const (pnode i).op)
+      (List.init (G.length pg) Fun.id)
+  in
+  let anchor = List.nth internal (List.length internal - 1) in
+  let is_internal i = List.mem i internal in
+  let rec assign = function
+    | [] -> [ [] ]
+    | pi :: rest ->
+        List.concat_map
+          (fun f ->
+            List.filter_map
+              (fun gi ->
+                if
+                  ops_match (pnode pi).op (gnode gi).op
+                  && (pi <> anchor || gi = root)
+                  && not (List.exists (fun (_, b) -> b = gi) f)
+                then Some ((pi, gi) :: f)
+                else None)
+              (List.init (G.length g) Fun.id))
+          (assign rest)
+  in
+  let rec perms = function
+    | [] -> [ [] ]
+    | pi :: rest ->
+        let n = pnode pi in
+        let tails = perms rest in
+        if Op.is_commutative n.op && Array.length n.args = 2 then
+          List.concat_map (fun t -> [ (pi, false) :: t; (pi, true) :: t ]) tails
+        else List.map (fun t -> (pi, false) :: t) tails
+  in
+  let binding f perm =
+    let inputs = Hashtbl.create 8 in
+    let edge_ok pi =
+      let pn = pnode pi and gn = gnode (List.assoc pi f) in
+      let swapped = List.assoc pi perm in
+      List.for_all
+        (fun k ->
+          let pa = pn.args.(k) in
+          let ga = gn.args.(if swapped then 1 - k else k) in
+          if is_internal pa then List.assoc pa f = ga
+          else
+            match Hashtbl.find_opt inputs pa with
+            | Some e -> e = ga
+            | None ->
+                Hashtbl.replace inputs pa ga;
+                true)
+        (List.init (Array.length pn.args) Fun.id)
+    in
+    if not (List.for_all edge_ok internal) then None
+    else begin
+      let ins = Hashtbl.fold (fun a b acc -> (a, b) :: acc) inputs [] in
+      let images = List.map snd ins in
+      if
+        List.length (List.sort_uniq compare images) = List.length images
+        && not (List.exists (fun (_, b) -> List.mem b images) f)
+      then Some { Match.nodes = List.sort compare f; inputs = List.sort compare ins }
+      else None
+    end
+  in
+  List.concat_map
+    (fun f -> List.filter_map (binding f) (perms internal))
+    (assign internal)
+  |> List.sort_uniq compare
+
+let prop_matcher_matches_brute_force =
+  QCheck.Test.make ~name:"compiled matcher agrees with brute force" ~count:60
+    QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      (* at most 12 nodes: 2 inputs, 2 constants, up to 7 operations and
+         an output; operands may repeat (shared inputs) *)
+      let b = G.Builder.create () in
+      let x = G.Builder.add0 b (Op.Input "x") in
+      let y = G.Builder.add0 b (Op.Input "y") in
+      let c1 = G.Builder.add0 b (Op.Const (1 + Random.State.int st 2)) in
+      let c2 = G.Builder.add0 b (Op.Const (1 + Random.State.int st 2)) in
+      let words = ref [ x; y; c1; c2 ] in
+      let pick l = List.nth l (Random.State.int st (List.length l)) in
+      let ops = [| Op.Add; Op.Mul; Op.Sub; Op.Shl; Op.And |] in
+      for _ = 1 to 3 + Random.State.int st 5 do
+        let op = ops.(Random.State.int st (Array.length ops)) in
+        words := G.Builder.add2 b op (pick !words) (pick !words) :: !words
+      done;
+      ignore (G.Builder.add1 b (Op.Output "o") (List.hd !words));
+      let g = G.Builder.finish b in
+      (* the same graph with other constant values: only a wildcard
+         pattern constant still matches *)
+      let g' =
+        G.map_ops g (function Op.Const v -> Op.Const (v + 7) | op -> op)
+      in
+      let singles =
+        List.filter (fun i -> Op.is_compute (G.node g i).op) (List.init (G.length g) Fun.id)
+        |> List.map (fun i -> [ i ])
+      in
+      List.for_all
+        (fun ids ->
+          let p = Pattern.of_embedding g ids in
+          List.for_all
+            (fun (wild, target) ->
+              let plan = Match.compile ~wild_consts:wild p in
+              let succs = G.succs target in
+              List.for_all
+                (fun root ->
+                  let got = Match.run plan target ~succs ~root in
+                  let first = Match.run ~first_only:true plan target ~succs ~root in
+                  got = Match.matches_at ~wild_consts:wild p target ~root
+                  && first = (match got with [] -> [] | b :: _ -> [ b ])
+                  && List.sort_uniq compare got
+                     = brute_force_bindings ~wild p target ~root)
+                (List.init (G.length target) Fun.id))
+            [ (false, g); (true, g); (false, g'); (true, g') ])
+        (singles @ brute_force_embeddings g 3))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_greedy_le_exact; prop_greedy_independent; prop_miner_matches_brute_force ]
+    [ prop_greedy_le_exact; prop_greedy_independent; prop_miner_matches_brute_force;
+      prop_matcher_matches_brute_force ]
 
 let () =
   Alcotest.run "mining"
