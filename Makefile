@@ -269,16 +269,21 @@ ci-faults:
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	rm -rf $(CI_FAULT_CACHE)
 
-# Results golden: a cold `dse --all` (empty store, --jobs 1) must print
-# exactly the committed rows.  Every placement, route and metric feeds
-# those rows, so a hot-path rewrite that moves a single placement fails
-# here.  A change that moves results on purpose regenerates the file
-# with the same command and says why in CHANGES.md.
+# Results golden: a cold `dse --all` (empty store) must print exactly
+# the committed rows, at --jobs 1 and at --jobs 2.  Every placement,
+# route and metric feeds those rows, so a hot-path rewrite that moves a
+# single placement fails here, and the --jobs 2 run gates the one
+# parallel site (pair evaluation) byte-for-byte.  A change that moves
+# results on purpose regenerates the file with the --jobs 1 command and
+# says why in CHANGES.md.
 .PHONY: ci-golden
 ci-golden:
-	rm -rf $(CI_GOLDEN_CACHE)
-	APEX_CACHE_DIR=$(CI_GOLDEN_CACHE) dune exec bin/apex_cli.exe -- dse --all --json --jobs 1 > $(CI_GOLDEN_OUT)
-	cmp $(DSE_GOLDEN) $(CI_GOLDEN_OUT)
+	for j in 1 2; do \
+	  rm -rf $(CI_GOLDEN_CACHE); \
+	  APEX_CACHE_DIR=$(CI_GOLDEN_CACHE) dune exec bin/apex_cli.exe -- \
+	    dse --all --json --jobs $$j > $(CI_GOLDEN_OUT) || exit 1; \
+	  cmp $(DSE_GOLDEN) $(CI_GOLDEN_OUT) || exit 1; \
+	done
 	rm -rf $(CI_GOLDEN_CACHE) $(CI_GOLDEN_OUT)
 
 # Benchmark-trajectory regression gate: regenerate every snapshot into

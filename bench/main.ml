@@ -577,7 +577,7 @@ let timing () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* --jobs-sweep: scaling of the parallel phases and the artifact cache *)
+(* --jobs-sweep: scaling of pair evaluation and the artifact cache   *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = Apex_exec.Pool
@@ -592,7 +592,7 @@ let time_s f =
   (Unix.gettimeofday () -. t0, r)
 
 let jobs_sweep file =
-  section "Parallel scaling: phase wall-clock per --jobs";
+  section "Parallel scaling: pair-evaluation wall-clock per --jobs";
   (* raw phase entry points, bypassing both the in-memory memo tables
      and the artifact store: this measures compute, not caching *)
   Store.set_enabled false;
@@ -606,9 +606,8 @@ let jobs_sweep file =
       (Library.subset ~ops:(Library.ops_of_graph app.graph))
       patterns
   in
-  (* built once, serially, so the sweep times *phases*, not setup;
-     variant construction feeds shared memo tables and must not move
-     onto the pool (see DESIGN.md) *)
+  (* built once, so the sweep times pair evaluation — the one phase
+     that fans out on the pool — not variant construction *)
   let patterns = patterns_of camera in
   let dp = dp_for camera patterns in
   let rules = Rules.rule_set dp ~patterns in
@@ -624,11 +623,7 @@ let jobs_sweep file =
       (Apps.evaluated ())
   in
   let phases =
-    [ ("mining",
-       fun () -> ignore (Analysis.analyze camera.graph));
-      ("merging", fun () -> ignore (dp_for camera patterns));
-      ("synthesis", fun () -> ignore (Rules.rule_set dp ~patterns));
-      ("evaluation",
+    [ ("evaluation",
        fun () ->
          ignore
            (Dse.evaluate_pairs ~effort:!effort

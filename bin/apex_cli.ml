@@ -107,8 +107,10 @@ let set_optimize optimize = if optimize then Apex.Optimize.enable ()
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel phases (mining, rule synthesis, \
-     evaluation). Defaults to the APEX_JOBS environment variable, else the \
+    "Worker domains for DSE pair evaluation, the one phase that runs in \
+     parallel: each (variant, application) pair is mapped, placed, routed \
+     and pipelined as one task. Mining, merging and rule synthesis run \
+     serially. Defaults to the APEX_JOBS environment variable, else the \
      machine's core count. Results are bit-identical whatever $(docv) is."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
@@ -675,13 +677,9 @@ let profile_cmd =
 
 let dse_cmd =
   let row_json = Apex.Jobs.dse_row_json in
-  let run () trace check optimize apps all variants json resume =
+  let run () trace check optimize apps all variants json =
     set_check check;
     set_optimize optimize;
-    if resume && not (Apex_exec.Store.enabled ()) then
-      invalid_arg
-        "dse: --resume resumes from per-pair checkpoints in the artifact \
-         cache; drop --no-cache";
     let apps =
       if all then Apps.evaluated ()
       else if apps = [] then
@@ -721,17 +719,12 @@ let dse_cmd =
                 (Apex.Dse.pair_status r))
         rows;
       Format.printf
-        "dse: %d pairs — %d mapped, %d unmappable, %d skipped, %d failed@."
+        "dse: %d pairs — %d mapped, %d unmappable, %d skipped, %d failed, %d \
+         resumed from checkpoints@."
         (List.length rows) (count "mapped") (count "unmappable")
         (count "skipped") (count "failed")
-    end;
-    if resume then
-      Format.eprintf
-        "dse: resumed %d/%d pairs from checkpoints, %d evaluated and newly \
-         checkpointed@."
         (Apex_telemetry.Counter.get "dse.pairs_resumed")
-        (List.length rows)
-        (Apex_telemetry.Counter.get "dse.pairs_checkpointed");
+    end;
     let snap = Registry.snapshot () in
     if trace <> None then Format.printf "@.%a" Report.pp snap;
     match trace_report_path trace with
@@ -768,19 +761,6 @@ let dse_cmd =
       value & flag
       & info [ "json" ] ~doc:"Print the per-pair results as JSON.")
   in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume an interrupted run from per-pair checkpoints: every \
-             pair whose evaluation completed before the interruption (each \
-             one is recorded through the artifact store as it finishes) is \
-             restored instead of recomputed, and a summary of \
-             resumed-vs-evaluated counts is printed. Results are \
-             byte-identical to an uninterrupted run. Requires the cache \
-             (conflicts with --no-cache).")
-  in
   Cmd.v
     (Cmd.info "dse"
        ~doc:
@@ -791,7 +771,7 @@ let dse_cmd =
           fallbacks, flagged as guard.outcome.* in the telemetry report.")
     Term.(
       const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps $ all
-      $ variants $ json $ resume)
+      $ variants $ json)
 
 (* --- lint: run the checker registry over the flow's artifacts --- *)
 

@@ -10,7 +10,8 @@ let cache : (string, Variants.t) Hashtbl.t = Hashtbl.create 16
    artifacts cross requests only through the tenant-namespaced
    Exec.Store — never through ambient process memory that would bypass
    namespace isolation.  Domain-local: the caller must keep the whole
-   request on one domain (Pool.serially), which the serve worker does. *)
+   request on one domain, which the serve scheduler does by running
+   each request as a pool task (a pool task never fans out). *)
 let local_key : (string, Variants.t) Hashtbl.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

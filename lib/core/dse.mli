@@ -8,7 +8,8 @@ val with_local_memo : (unit -> 'a) -> 'a
     each request in this so concurrent requests neither race the
     unsynchronized table nor observe each other's in-memory artifacts —
     cross-request sharing goes through the namespaced [Exec.Store].
-    Domain-local: keep the request on one domain ([Pool.serially]). *)
+    Domain-local: keep the request on one domain (run it as an
+    [Exec.Pool] task: a pool task never fans out). *)
 
 val baseline : unit -> Variants.t
 (** The fully general PE Base (memoized). *)

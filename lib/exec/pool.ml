@@ -9,13 +9,14 @@
    - The main domain participates in the batch, so [--jobs N] means N
      runners (N-1 spawned + the caller), and [--jobs 1] never spawns.
    - Spawned domains are per-batch.  Domain spawn costs tens of
-     microseconds; every batch in the flow is orders of magnitude
-     coarser (pattern synthesis, clique rows, evaluation runs), and
+     microseconds; both batch kinds are orders of magnitude coarser
+     (DSE pair evaluations, serve request batches), and
      per-batch domains keep the scheduler stateless: no idle workers,
      no shutdown protocol, no cross-batch queue to corrupt.
-   - Nested calls (a task itself calling [map]) run serially inline:
-     the pool never over-subscribes beyond the configured domain
-     count, and cannot deadlock on itself. *)
+   - A pool task never fans out: nested calls (a task itself calling
+     [map]) run serially inline, on the parallel and the serial path
+     alike.  The pool never over-subscribes beyond the configured
+     domain count, and cannot deadlock on itself. *)
 
 module Counter = Apex_telemetry.Counter
 module Registry = Apex_telemetry.Registry
@@ -40,13 +41,10 @@ let set_jobs n = override := Some (clamp n)
 (* true while this domain is executing pool tasks: nested maps go serial *)
 let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
-(* Run [f] with every pool map inside it degraded to serial execution,
-   exactly as if [f] were itself a pool task.  A server that already
-   runs one worker domain per request uses this to make the *request*
-   the unit of parallelism — per-phase domain fan-out under it would
-   oversubscribe the machine without changing any result (the pool's
-   serial/parallel equivalence contract). *)
-let serially f =
+(* Run [f] as a pool task: every pool map inside it runs serially
+   inline.  Both map paths use this, so a pool task never fans out —
+   whether it runs on a spawned domain or on the caller at --jobs 1. *)
+let as_task f =
   let flag = Domain.DLS.get in_task in
   let saved = !flag in
   flag := true;
@@ -71,7 +69,7 @@ let run_task f x =
 let serial_map f xs =
   Counter.incr "exec.pool_batches";
   Counter.add "exec.pool_tasks" (Array.length xs);
-  Array.map (run_task f) xs
+  as_task (fun () -> Array.map (run_task f) xs)
 
 let parallel_map ~runners f xs =
   let n = Array.length xs in
@@ -88,9 +86,7 @@ let parallel_map ~runners f xs =
   let budget = Guard.context () in
   let store_ns = Store.namespace () in
   let run_tasks () =
-    let flag = Domain.DLS.get in_task in
-    flag := true;
-    Fun.protect ~finally:(fun () -> flag := false) @@ fun () ->
+    as_task @@ fun () ->
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
@@ -142,6 +138,3 @@ let map_array f xs =
   else parallel_map ~runners f xs
 
 let map f xs = Array.to_list (map_array f (Array.of_list xs))
-
-let map_reduce ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map f xs)

@@ -1,9 +1,9 @@
 (** Deterministic fork-join scheduler on OCaml 5 domains.
 
-    The pool runs independent units of a DSE phase — per-root embedding
-    enumeration, per-pattern rule synthesis, per-pair compatibility
-    rows, per-variant evaluation — across a fixed number of domains
-    while keeping the *observable result identical to a serial run*:
+    The pool runs the flow's one coarse independent unit — a
+    (variant, application) pair evaluation, or a serve request batch —
+    across a fixed number of domains while keeping the *observable
+    result identical to a serial run*:
 
     - [map f xs] always delivers results in submission order, whatever
       order tasks finish in;
@@ -17,8 +17,9 @@
     Tasks must be independent (no task may observe another's side
     effects) — that is the caller's contract, checked by the CI
     determinism guard ([apex report-diff] of --jobs 1 vs --jobs 4
-    runs).  Nested calls from inside a task degrade to serial
-    execution instead of spawning further domains. *)
+    runs).  A pool task never fans out: a [map] called from inside a
+    task — on a spawned domain, or on the caller at [--jobs 1] — runs
+    serially inline instead of spawning further domains. *)
 
 val default_jobs : unit -> int
 (** [APEX_JOBS] when set and positive, otherwise
@@ -31,22 +32,6 @@ val set_jobs : int -> unit
 (** Fix the worker count (the CLI's [--jobs N]).  Clamped to [1, 64].
     [set_jobs 1] forces fully serial execution. *)
 
-val serially : (unit -> 'a) -> 'a
-(** [serially f] runs [f] with every pool map inside it executing
-    serially on the calling domain, as if [f] were a pool task.  By the
-    pool's contract this cannot change any result — only where the work
-    runs.  Used by callers that manage their own domains (one serve
-    worker per request) to stop per-phase fan-out from oversubscribing
-    the machine. *)
-
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map] with submission-order results. *)
 
-val map_array : ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with submission-order results. *)
-
-val map_reduce : map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
-  'a list -> 'c
-(** [map_reduce ~map ~reduce ~init xs] maps in parallel, then folds the
-    results in submission order — equivalent to
-    [List.fold_left reduce init (List.map map xs)]. *)

@@ -80,16 +80,14 @@ let await p =
 (* --- request execution (worker domains) --- *)
 
 (* The isolation stack, outside in: a fresh telemetry scope (reports
-   aggregate as if the request ran alone), the request as the unit of
-   parallelism (per-phase pool maps degrade to serial — the worker
-   domain is the parallelism), the tenant's cache namespace (artifact
-   sharing is intra-tenant only), request-local variant/analysis memos
-   (no cross-request traffic through process memory — sharing goes
-   through the namespaced store), and the request budget as ambient
-   (every hot loop's tick sees the deadline and the server cancel). *)
+   aggregate as if the request ran alone), the tenant's cache namespace
+   (artifact sharing is intra-tenant only), request-local
+   variant/analysis memos (no cross-request traffic through process
+   memory — sharing goes through the namespaced store), and the request
+   budget as ambient (every hot loop's tick sees the deadline and the
+   server cancel). *)
 let run_isolated ~tenant ~budget job =
   Registry.with_scope (Registry.new_scope ()) @@ fun () ->
-  Pool.serially @@ fun () ->
   Store.with_namespace (Some tenant) @@ fun () ->
   Apex.Dse.with_local_memo @@ fun () ->
   Apex.Variants.with_local_memo @@ fun () ->
@@ -156,9 +154,10 @@ let execute t (p : pending) =
    at most [jobs] requests and hand each batch to [Pool.map], which
    adapts the fan-out to the machine — spawned domains when cores allow
    it, serial inline execution otherwise.  The request stays the unit
-   of parallelism either way ([run_isolated] degrades per-phase maps to
-   serial), and on a small host serial inline execution is not a
-   fallback but the fast path: executing on the main domain keeps minor
+   of parallelism either way (a pool task never fans out, so the pair
+   evaluations under a request run serially), and on a small host
+   serial inline execution is not a fallback but the fast path:
+   executing on the main domain keeps minor
    collections domain-local, where running requests on dedicated worker
    domains would pay a stop-the-world rendezvous with every blocked
    sibling domain on every minor GC — measured at three orders of

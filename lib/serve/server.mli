@@ -14,8 +14,9 @@
       domains when cores allow, serial inline execution otherwise);
       every request runs under full isolation: a fresh telemetry scope,
       a tenant cache namespace, request-local variant/analysis memos,
-      the request budget as ambient, and [Pool.serially] so the request
-      — not a flow phase — is the unit of parallelism;
+      and the request budget as ambient; the request is a pool task, and
+      a pool task never fans out, so the request — not a flow phase —
+      is the unit of parallelism;
     - the response embeds the request scope's full telemetry report
       with the job results as its results section, so `apex
       trace-check` and `apex report-diff --results-only` work directly

@@ -48,13 +48,6 @@ let test_map_matches_serial () =
     "empty input" []
     (with_jobs 4 (fun () -> Pool.map f []) ())
 
-let test_map_reduce () =
-  let xs = List.init 50 (fun i -> i + 1) in
-  check Alcotest.int "fold in submission order" (50 * 51 / 2)
-    (with_jobs 4
-       (fun () -> Pool.map_reduce ~map:Fun.id ~reduce:( + ) ~init:0 xs)
-       ())
-
 let test_exception_propagation () =
   (* the lowest failing submission index wins, as in a serial map *)
   let f x = if x >= 30 then failwith (string_of_int x) else x in
@@ -78,6 +71,25 @@ let test_nested_map_degrades () =
       ()
   in
   check Alcotest.(list int) "nested results" [ 6; 12; 18; 24 ] got
+
+let test_serial_task_never_fans_out () =
+  (* a one-element batch runs on the serial path, yet its task is still
+     a pool task: the inner map must run inline, not spawn domains *)
+  Registry.enable ();
+  Registry.reset ();
+  Fun.protect ~finally:(fun () ->
+      Registry.disable ();
+      Registry.reset ())
+  @@ fun () ->
+  let got =
+    with_jobs 4
+      (fun () -> Pool.map (fun () -> Pool.map succ [ 1; 2; 3; 4 ]) [ () ])
+      ()
+  in
+  check Alcotest.(list (list int)) "nested results" [ [ 2; 3; 4; 5 ] ] got;
+  check Alcotest.int "no parallel batch" 0
+    (Counter.get "exec.pool_parallel_batches");
+  check Alcotest.int "both batches ran" 2 (Counter.get "exec.pool_batches")
 
 let test_workers_share_span_context () =
   Registry.enable ();
@@ -396,11 +408,12 @@ let () =
   Alcotest.run "exec"
     [ ( "pool",
         [ Alcotest.test_case "map matches serial" `Quick test_map_matches_serial;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested map degrades" `Quick
             test_nested_map_degrades;
+          Alcotest.test_case "serial task never fans out" `Quick
+            test_serial_task_never_fans_out;
           Alcotest.test_case "span context inherited" `Quick
             test_workers_share_span_context ] );
       ( "store",

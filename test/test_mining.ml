@@ -143,38 +143,6 @@ let test_embeddings_are_occurrences () =
           (Pattern.code f.pattern) (List.length embs) (List.length occs))
     found
 
-let test_parallel_mine_is_identical () =
-  (* the pool's determinism contract, at the mining phase: any --jobs
-     width must reproduce the serial result and counters exactly *)
-  let mine_with jobs g =
-    Apex_exec.Pool.set_jobs jobs;
-    Fun.protect ~finally:(fun () -> Apex_exec.Pool.set_jobs 1) @@ fun () ->
-    Apex_telemetry.Registry.enable ();
-    Apex_telemetry.Registry.reset ();
-    let found, stats =
-      Miner.mine { Miner.default_config with max_size = 4 } g
-    in
-    let counters =
-      List.filter
-        (fun (k, _) -> String.length k >= 7 && String.sub k 0 7 = "mining.")
-        (Apex_telemetry.Registry.snapshot ()).counters
-    in
-    Apex_telemetry.Registry.disable ();
-    Apex_telemetry.Registry.reset ();
-    ( List.map
-        (fun (f : Miner.found) ->
-          (Pattern.code f.pattern, f.support, f.embeddings))
-        found,
-      stats, counters )
-  in
-  let g = (Apex_halide.Apps.by_name "gaussian").graph in
-  let serial = mine_with 1 g in
-  List.iter
-    (fun jobs ->
-      if mine_with jobs g <> serial then
-        Alcotest.failf "jobs=%d diverges from serial mining" jobs)
-    [ 2; 4 ]
-
 (* --- MIS analysis (Fig. 4) --- *)
 
 let test_mis_add_add () =
@@ -561,9 +529,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_mine_stats;
           Alcotest.test_case "min support filters" `Quick test_min_support_filters;
           Alcotest.test_case "embeddings agree with matcher" `Quick
-            test_embeddings_are_occurrences;
-          Alcotest.test_case "parallel mining identical" `Quick
-            test_parallel_mine_is_identical ] );
+            test_embeddings_are_occurrences ] );
       ( "mis",
         [ Alcotest.test_case "Fig. 4: overlapping chain" `Quick test_mis_add_add;
           Alcotest.test_case "disjoint" `Quick test_mis_disjoint;

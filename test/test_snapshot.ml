@@ -98,10 +98,9 @@ let test_jobs_invariance () =
           check Alcotest.string
             (Snapshot.area_name area ^ " counters jobs-invariant")
             (per_jobs 1 area) (per_jobs 4 area))
-        (* mining fans the growth frontier out on the pool; smt fans the
-           per-pattern rule synthesis out — the two parallel phases a
-           jobs-width bug would desynchronize first *)
-        [ Snapshot.Mining; Snapshot.Smt ])
+        (* dse fans the pair evaluations out on the pool, the one
+           parallel phase; mining and smt run serially under any width *)
+        [ Snapshot.Mining; Snapshot.Smt; Snapshot.Dse ])
 
 let test_no_exec_counters () =
   let t = Snapshot.run Snapshot.Smt in
