@@ -62,7 +62,8 @@ bench-snapshot:
 # Then smoke-test the instrumented flow: a traced,
 # --check-verified profile of the camera pipeline must produce a
 # well-formed JSON report with the key search counters populated —
-# including proof that the phase-boundary lint checkers actually ran.
+# including proof that the phase-boundary lint checkers actually ran
+# and that placement and routing still report their counters.
 # (--no-cache: a warm artifact cache would legitimately zero the
 # phase counters this step requires.)
 #
@@ -92,7 +93,9 @@ ci: build test
 	  --require rules.synthesized \
 	  --require mapper.cover_attempts \
 	  --require dse.memo_hits \
-	  --require lint.checks_run
+	  --require lint.checks_run \
+	  --require pnr.place_moves \
+	  --require pnr.route_iterations
 	dune exec bin/apex_cli.exe -- profile --all --jobs 1 --no-cache --trace=$(CI_J1) > /dev/null
 	dune exec bin/apex_cli.exe -- profile --all --jobs 4 --no-cache --trace=$(CI_J4) > /dev/null
 	dune exec bin/apex_cli.exe -- report-diff $(CI_J1) $(CI_J4)

@@ -12,7 +12,7 @@ type t = {
 
 (* a net: one driver and its sinks, split into the movable instances
    among them and the bounding box of the fixed (I/O) points.  The box
-   is empty (max_int/min_int) when the net has no fixed point. *)
+   is empty ([box_bound]/[-box_bound]) when the net has no fixed point. *)
 type net = {
   members : int array;
   fminx : int;
@@ -42,6 +42,11 @@ let input_names (m : Cover.t) =
   List.rev !names
 
 type point = Inst of int | Fixed of int * int
+
+(* the empty box's sentinels: far outside any coordinate (-1 to the
+   fabric width) yet small enough that [lo]/[hi] below cannot overflow,
+   as max_int/min_int would *)
+let box_bound = 1 lsl 40
 
 let build_nets (m : Cover.t) ~input_loc ~output_loc =
   (* nets keyed by driver *)
@@ -85,12 +90,25 @@ let build_nets (m : Cover.t) ~input_loc ~output_loc =
     in
     let fold f init sel = List.fold_left (fun acc p -> f acc (sel p)) init fixed in
     { members = Array.of_list members;
-      fminx = fold min max_int fst;
-      fmaxx = fold max min_int fst;
-      fminy = fold min max_int snd;
-      fmaxy = fold max min_int snd }
+      fminx = fold min box_bound fst;
+      fmaxx = fold max (-box_bound) fst;
+      fminy = fold min box_bound snd;
+      fmaxy = fold max (-box_bound) snd }
   in
   Hashtbl.fold (fun _ points acc -> net points :: acc) tbl [] |> Array.of_list
+
+(* branch-free min and max: [d asr 62] is all ones when [a < b] and 0
+   otherwise, so the mask keeps [d] exactly when [a] is the smaller.
+   Exact while [a - b] does not overflow, which [box_bound] guarantees.
+   Whether a member widens a box is data-dependent, so a branch there
+   mispredicts often *)
+let[@inline] lo a b =
+  let d = a - b in
+  b + (d land (d asr 62))
+
+let[@inline] hi a b =
+  let d = a - b in
+  a - (d land (d asr 62))
 
 (* half-perimeter of a net, instance [i] sitting at (xs.(i), ys.(i));
    integral, so sums of it are exact in any order *)
@@ -101,10 +119,10 @@ let net_hpwl xs ys net =
   for k = 0 to Array.length members - 1 do
     let i = members.(k) in
     let x = xs.(i) and y = ys.(i) in
-    if x < !minx then minx := x;
-    if x > !maxx then maxx := x;
-    if y < !miny then miny := y;
-    if y > !maxy then maxy := y
+    minx := lo x !minx;
+    maxx := hi x !maxx;
+    miny := lo y !miny;
+    maxy := hi y !maxy
   done;
   !maxx - !minx + (!maxy - !miny)
 
@@ -150,13 +168,18 @@ let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
         net.members)
     nets;
   let nets_of = Array.map Array.of_list nets_of in
+  (* each net's current HPWL; a move rescans only the nets it touches *)
+  let cost = Array.map (net_hpwl xs ys) nets in
+  let sum_cost () = Array.fold_left ( + ) 0 cost in
   if effort > 0 && n > 1 then begin
     let st = Random.State.make [| seed |] in
     let moves_per_t = 20 * n * effort in
-    let t = ref (Float.max 1.0 (float_of_int (total_cost xs ys nets) *. 0.05)) in
-    (* the nets touching a move, each once: stamped with the move's epoch *)
+    let t = ref (Float.max 1.0 (float_of_int (sum_cost ()) *. 0.05)) in
+    (* the nets touching a move, each once: stamped with the move's epoch;
+       [fresh.(k)] is the HPWL of net [touched.(k)] after the move *)
     let stamp = Array.make (Array.length nets) (-1) in
     let touched = Array.make (Array.length nets) 0 in
+    let fresh = Array.make (Array.length nets) 0 in
     let n_touched = ref 0 in
     let add_nets epoch i =
       let ns = nets_of.(i) in
@@ -169,20 +192,25 @@ let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
         end
       done
     in
-    let touched_cost () =
-      let c = ref 0 in
+    (* the move's HPWL change, the touched nets rescanned into [fresh] *)
+    let delta () =
+      let d = ref 0 in
       for k = 0 to !n_touched - 1 do
-        c := !c + net_hpwl xs ys nets.(touched.(k))
+        let ni = touched.(k) in
+        let c = net_hpwl xs ys nets.(ni) in
+        fresh.(k) <- c;
+        d := !d + (c - cost.(ni))
       done;
-      !c
+      !d
     in
     (* HPWLs are integers far below 2^53, so [d] equals the difference of
        the float costs the acceptance rule was defined on *)
-    let accept before after =
-      let d = float_of_int (after - before) in
+    let accept d =
+      let d = float_of_int d in
       d <= 0.0 || Random.State.float st 1.0 < exp (-.d /. !t)
     in
     let moves = ref 0 and accepted = ref 0 and steps = ref 0 in
+    let net_evals = ref 0 in
     while !t > 0.05 do
       incr steps;
       for _ = 1 to moves_per_t do
@@ -195,10 +223,13 @@ let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
           n_touched := 0;
           add_nets !moves i;
           if j >= 0 then add_nets !moves j;
-          let before = touched_cost () in
+          net_evals := !net_evals + !n_touched;
           set i target;
           if j >= 0 then set j old_t;
-          if accept before (touched_cost ()) then begin
+          if accept (delta ()) then begin
+            for k = 0 to !n_touched - 1 do
+              cost.(touched.(k)) <- fresh.(k)
+            done;
             occupant.(target) <- i;
             occupant.(old_t) <- j;
             incr accepted
@@ -213,13 +244,14 @@ let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
     done;
     Counter.add "pnr.place_moves" !moves;
     Counter.add "pnr.place_accepted" !accepted;
-    Counter.add "pnr.temp_steps" !steps
+    Counter.add "pnr.temp_steps" !steps;
+    Counter.add "pnr.place_net_evals" !net_evals
   end;
   { fabric;
     loc = Array.map (fun t -> pe_tiles.(t)) loc;
     input_locs;
     output_locs;
-    wirelength = float_of_int (total_cost xs ys nets) }
+    wirelength = float_of_int (sum_cost ()) }
 
 let hpwl p (m : Cover.t) =
   let input_loc name = List.assoc name p.input_locs in

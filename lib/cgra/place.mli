@@ -10,7 +10,9 @@ type t = {
   loc : (int * int) array;             (** instance index -> tile *)
   input_locs : (string * (int * int)) list;
   output_locs : (string * (int * int)) list;
-  wirelength : float;                  (** final HPWL cost *)
+  wirelength : float;
+      (** final HPWL cost: the sum of the per-net costs the annealer
+          maintains across moves *)
 }
 
 val place : ?seed:int -> ?effort:int -> Fabric.t -> Apex_mapper.Cover.t -> t
@@ -32,5 +34,5 @@ val place : ?seed:int -> ?effort:int -> Fabric.t -> Apex_mapper.Cover.t -> t
     the fabric has. *)
 
 val hpwl : t -> Apex_mapper.Cover.t -> float
-(** Recompute the half-perimeter wirelength of a placement (exposed for
-    testing and for the annealing ablation). *)
+(** Recompute the half-perimeter wirelength of a placement from scratch
+    (exposed for testing). *)

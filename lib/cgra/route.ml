@@ -302,6 +302,7 @@ let route ?(max_iters = 30) (p : Place.t) (m : Cover.t) =
   let overuse =
     Array.fold_left (fun acc u -> if u > capacity then acc + 1 else acc) 0 usage
   in
+  Apex_telemetry.Counter.add "pnr.route_iterations" !iterations;
   { nets; word_hops; bit_hops; overuse; iterations = !iterations }
 
 let tiles_touched t =

@@ -94,9 +94,14 @@ let post_pnr ?(effort = 1) (v : Variants.t) (app : Apps.t) =
   let pm, mapped = post_mapping v app in
   Apex_telemetry.Span.with_ "pnr" @@ fun () ->
   let fabric = fabric_for mapped in
-  let placement = Place.place ~effort fabric mapped in
-  let routes = Route.route placement mapped in
-  let routing_tiles = Route.routing_only_tiles routes placement mapped in
+  let placement =
+    Apex_telemetry.Span.with_ "place" (fun () -> Place.place ~effort fabric mapped)
+  in
+  let routes, routing_tiles =
+    Apex_telemetry.Span.with_ "route" @@ fun () ->
+    let routes = Route.route placement mapped in
+    (routes, Route.routing_only_tiles routes placement mapped)
+  in
   let params = fabric.Fabric.params in
   let word_inputs = D.n_word_inputs v.dp in
   let bit_inputs = D.n_bit_inputs v.dp in

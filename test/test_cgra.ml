@@ -98,10 +98,12 @@ let test_place_deterministic () =
 
 (* Golden placements and routes, recorded before the placer moved to
    tile-index locations and integer costs and the router to a binary
-   heap.  The annealer's RNG call order and acceptance rule are part of
-   the results contract (place.mli): any change that moves a placement
-   or a route fails here.  Locations render as "x,y;x,y;..."; camera's
-   240 of them are recorded as the MD5 of that rendering. *)
+   heap; harris (248 PEs, the largest), resnet and gaussian at effort 2
+   were recorded before the placer cached per-net costs.  The
+   annealer's RNG call order and acceptance rule are part of the
+   results contract (place.mli): any change that moves a placement or
+   a route fails here.  Locations render as "x,y;x,y;..."; the larger
+   apps' are recorded as the MD5 of that rendering. *)
 
 let render_loc (p : Place.t) =
   String.concat ";"
@@ -125,30 +127,40 @@ let baseline_mapped name =
   Cover.map_app ~rules:(Rules.single_op_rules dp) (Apps.by_name name).graph
 
 let golden_placements =
-  (* app, seed, loc (or its MD5), wirelength, word hops, route MD5 *)
-  [ ( "gaussian", 1,
+  (* app, seed, effort, loc (or its MD5), wirelength, word hops, route MD5 *)
+  [ ( "gaussian", 1, 1,
       "2,3;1,3;0,7;1,12;5,12;5,9;5,3;4,3;4,4;4,9;4,10;5,10;6,10;6,7;4,7;2,7;\
        9,3;9,5;8,7;8,8;6,6;5,5;2,5;1,5;9,6;9,7;6,8;6,9;4,8;2,8;1,8;1,9;1,4;\
        0,12;4,12;4,5;5,8;5,13;6,11;2,6;9,4;5,11;6,12;5,6;0,5;9,8;6,14;4,6;\
        2,4;1,7;16,3;30,4;18,3;16,4",
       375.0, 392, "07bf23017d0eb51b48f2e55ecf2bb495" );
-    ( "gaussian", 5,
+    ( "gaussian", 5, 1,
       "8,3;8,2;6,3;4,13;5,13;4,11;0,7;0,5;14,4;12,4;10,5;10,11;2,11;2,10;\
        2,6;4,6;13,2;13,4;8,7;5,7;5,6;5,5;4,5;4,9;12,5;6,8;2,9;2,8;1,5;1,6;\
        1,7;1,11;9,2;1,13;6,13;0,6;12,3;6,11;2,12;4,4;13,5;4,12;4,10;5,4;\
        4,7;6,7;1,9;1,4;0,1;1,10;25,3;28,4;13,1;21,3",
       375.0, 383, "7083b1d9562710c47916a922c6d38e00" );
-    ( "camera", 1, "8efa27463b743c879589c130160ab5f0", 940.0, 971,
+    ( "gaussian", 1, 2,
+      "6,2;5,2;5,3;5,5;5,6;2,6;2,5;4,5;9,4;8,5;6,5;5,10;4,12;4,11;4,9;4,8;\
+       6,1;4,4;2,7;2,8;1,9;1,5;1,6;1,7;6,4;5,8;2,10;1,10;0,7;0,6;0,8;0,10;\
+       6,3;0,5;5,9;4,6;8,3;5,11;2,12;4,7;5,4;2,11;0,11;1,4;1,8;5,7;1,12;\
+       0,4;0,3;0,9;29,2;12,2;30,1;8,4",
+      339.0, 345, "422fd6fee3f0aaf30f665758d850ec36" );
+    ( "camera", 1, 1, "8efa27463b743c879589c130160ab5f0", 940.0, 971,
       "f58c2e4346883e876b872c06835ac5a1" );
-    ( "camera", 5, "f7ce82b0f556273c374bfc5bc62b8842", 897.0, 922,
-      "dec8d43f5b73a57c2c6cc8ef6661f380" ) ]
+    ( "camera", 5, 1, "f7ce82b0f556273c374bfc5bc62b8842", 897.0, 922,
+      "dec8d43f5b73a57c2c6cc8ef6661f380" );
+    ( "harris", 1, 1, "90d4888c7faeff4956e67793d7d98629", 1453.0, 1525,
+      "dc6c0a5b6476ef9dda979117a7efb364" );
+    ( "resnet", 1, 1, "9280230e3d7ced5e40ad3ae95c1684b7", 816.0, 819,
+      "a8718df3a53ebe73d98178457969be1d" ) ]
 
 let test_place_golden () =
   let fabric = Fabric.create () in
   List.iter
-    (fun (app, seed, loc, wl, _, _) ->
-      let p = Place.place ~seed fabric (baseline_mapped app) in
-      let what = Printf.sprintf "%s seed %d" app seed in
+    (fun (app, seed, effort, loc, wl, _, _) ->
+      let p = Place.place ~seed ~effort fabric (baseline_mapped app) in
+      let what = Printf.sprintf "%s seed %d effort %d" app seed effort in
       let got = render_loc p in
       check Alcotest.string (what ^ " loc") loc
         (if String.length loc = 32 then md5 got else got);
@@ -158,10 +170,10 @@ let test_place_golden () =
 let test_route_golden () =
   let fabric = Fabric.create () in
   List.iter
-    (fun (app, seed, _, _, hops, digest) ->
+    (fun (app, seed, effort, _, _, hops, digest) ->
       let mapped = baseline_mapped app in
-      let r = Route.route (Place.place ~seed fabric mapped) mapped in
-      let what = Printf.sprintf "%s seed %d" app seed in
+      let r = Route.route (Place.place ~seed ~effort fabric mapped) mapped in
+      let what = Printf.sprintf "%s seed %d effort %d" app seed effort in
       check int (what ^ " word hops") hops r.word_hops;
       check int (what ^ " overuse") 0 r.overuse;
       check int (what ^ " iterations") 1 r.iterations;
@@ -185,6 +197,23 @@ let test_route_golden () =
       check Alcotest.string (what ^ " tracks") digest (md5 (render_tracks r)))
     [ (1, 517, 23, 30, "bb5031d3c5d86405c4f2fdbb57fd038a");
       (2, 408, 0, 4, "8454597e8a7535a3242dd4ac56cb86a1") ]
+
+(* The annealer keeps each net's HPWL cached across moves and reports
+   their sum as [wirelength]; an independent recompute from the final
+   locations must agree, or a move's write-back was lost.  These nets
+   reach I/O pins at x = -1 and x = width, the extremes of a box. *)
+let test_place_cost_cache () =
+  let fabric = Fabric.create () in
+  List.iter
+    (fun app ->
+      let mapped = baseline_mapped app in
+      for seed = 1 to 5 do
+        let p = Place.place ~seed fabric mapped in
+        check (Alcotest.float 0.0)
+          (Printf.sprintf "%s seed %d" app seed)
+          (Place.hpwl p mapped) p.wirelength
+      done)
+    [ "gaussian"; "camera"; "harris" ]
 
 (* --- routing --- *)
 
@@ -390,7 +419,9 @@ let () =
           Alcotest.test_case "annealing improves" `Quick test_place_improves_wirelength;
           Alcotest.test_case "does not fit" `Quick test_place_does_not_fit;
           Alcotest.test_case "deterministic" `Quick test_place_deterministic;
-          Alcotest.test_case "golden placements" `Quick test_place_golden ] );
+          Alcotest.test_case "golden placements" `Quick test_place_golden;
+          Alcotest.test_case "cached costs match a recompute" `Quick
+            test_place_cost_cache ] );
       ( "route",
         [ Alcotest.test_case "legal" `Quick test_route_legal;
           Alcotest.test_case "trees connect" `Quick test_route_trees_connect_sinks;
