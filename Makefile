@@ -26,6 +26,7 @@ CI_CHAOS_B := /tmp/apex-ci-chaos-b.json
 CI_GOLDEN_CACHE := /tmp/apex-ci-golden-cache
 CI_GOLDEN_OUT := /tmp/apex-ci-golden.json
 DSE_GOLDEN := test/golden/dse_all.json
+CONFIGS_GOLDEN := test/golden/configs_all.json
 
 # The daemon must receive SIGTERM itself (dune exec does not forward
 # signals to its child), so serve smoke steps run the built binary.
@@ -83,7 +84,8 @@ ci: build test
 	dune exec bin/apex_cli.exe -- trace-check $(CI_CONFIGS) \
 	  --require analysis.configspace.checks_run \
 	  --require analysis.configspace.configs_realizable \
-	  --require analysis.configspace.proofs_proved
+	  --require analysis.configspace.proofs_proved \
+	  --require analysis.configspace.encodings
 	dune exec bin/apex_cli.exe -- lint --all --optimize --werror
 	dune exec bin/apex_cli.exe -- profile camera --check --no-cache --trace=$(CI_TRACE)
 	dune exec bin/apex_cli.exe -- trace-check $(CI_TRACE) \
@@ -276,9 +278,12 @@ ci-faults:
 # the committed rows, at --jobs 1 and at --jobs 2.  Every placement,
 # route and metric feeds those rows, so a hot-path rewrite that moves a
 # single placement fails here, and the --jobs 2 run gates the one
-# parallel site (pair evaluation) byte-for-byte.  A change that moves
-# results on purpose regenerates the file with the --jobs 1 command and
-# says why in CHANGES.md.
+# parallel site (pair evaluation) byte-for-byte.  Then a cold
+# `analyze --configs --all` must print exactly the committed
+# configuration-space reports (realizable lists, dead/encodable
+# classes, cliques, proof counts).  A change that moves results on
+# purpose regenerates the file with the same command (--jobs 1 for the
+# DSE rows) and says why in CHANGES.md.
 .PHONY: ci-golden
 ci-golden:
 	for j in 1 2; do \
@@ -287,6 +292,10 @@ ci-golden:
 	    dse --all --json --jobs $$j > $(CI_GOLDEN_OUT) || exit 1; \
 	  cmp $(DSE_GOLDEN) $(CI_GOLDEN_OUT) || exit 1; \
 	done
+	rm -rf $(CI_GOLDEN_CACHE)
+	APEX_CACHE_DIR=$(CI_GOLDEN_CACHE) dune exec bin/apex_cli.exe -- \
+	  analyze --configs --all --json > $(CI_GOLDEN_OUT)
+	cmp $(CONFIGS_GOLDEN) $(CI_GOLDEN_OUT)
 	rm -rf $(CI_GOLDEN_CACHE) $(CI_GOLDEN_OUT)
 
 # Benchmark-trajectory regression gate: regenerate every snapshot into

@@ -61,58 +61,84 @@ module Counter = Apex_telemetry.Counter
 module Span = Apex_telemetry.Span
 module Guard = Apex_guard
 
-(* Reusable canonical-coding scratch: one buffer and two index tables
-   per enumeration instead of fresh allocations for
-   every embedding — the position table and key buffer are rebuilt in
-   place, and the caller passes the node list already sorted so it is
-   not re-sorted both here and for the embedding record. *)
+(* Canonical-coding scratch for one [mine] call.  Each node's
+   generalized mnemonic and result-width tag are built once here, not
+   once per embedding (constants are mined, and their mnemonics go
+   through [sprintf]).  [pos] and [ext] map node ids to the embedding
+   position and external number, -1 when unset; [shape_key] resets
+   only the entries it set, recorded for externals in [ext_ids]. *)
 type scratch = {
   buf : Buffer.t;
-  pos : (int, int) Hashtbl.t;
-  ext : (int, int) Hashtbl.t;
+  mnemonic : string array;
+  width_tag : char array;
+  pos : int array;
+  ext : int array;
+  ext_ids : int array;
 }
 
-let make_scratch () =
-  { buf = Buffer.create 128; pos = Hashtbl.create 16; ext = Hashtbl.create 16 }
+let make_scratch cfg g =
+  let n = G.length g in
+  let nodes = G.nodes g in
+  { buf = Buffer.create 128;
+    mnemonic =
+      Array.map
+        (fun (nd : G.node) ->
+          Op.mnemonic
+            (if cfg.generalize_consts then generalize_op nd.op else nd.op))
+        nodes;
+    width_tag =
+      Array.map
+        (fun (nd : G.node) ->
+          match Op.result_width nd.op with Op.Word -> 'w' | Op.Bit -> 'b')
+        nodes;
+    pos = Array.make n (-1);
+    ext = Array.make n (-1);
+    ext_ids = Array.make n 0 }
 
-let shape_key cfg g scratch sorted =
-  let { buf; pos; ext } = scratch in
+(* decimal digits of a small non-negative int, without allocating *)
+let rec add_int buf i =
+  if i >= 10 then add_int buf (i / 10);
+  Buffer.add_char buf (Char.chr (48 + (i mod 10)))
+
+let shape_key g scratch sorted =
+  let { buf; mnemonic; width_tag; pos; ext; ext_ids } = scratch in
   Buffer.clear buf;
-  Hashtbl.reset pos;
-  Hashtbl.reset ext;
-  List.iteri (fun i id -> Hashtbl.replace pos id i) sorted;
+  List.iteri (fun i id -> pos.(id) <- i) sorted;
   (* externals are numbered by first use, so sharing is captured but
      the key is position-independent *)
+  let n_ext = ref 0 in
   List.iter
     (fun id ->
-      let nd = G.node g id in
-      let op = if cfg.generalize_consts then generalize_op nd.op else nd.op in
-      Buffer.add_string buf (Op.mnemonic op);
+      Buffer.add_string buf mnemonic.(id);
       Buffer.add_char buf '(';
       Array.iter
         (fun a ->
-          (match Hashtbl.find_opt pos a with
-          | Some p -> Buffer.add_string buf (string_of_int p)
-          | None ->
-              let k =
-                match Hashtbl.find_opt ext a with
-                | Some k -> k
-                | None ->
-                    let k = Hashtbl.length ext in
-                    Hashtbl.replace ext a k;
-                    k
-              in
-              Buffer.add_char buf 'x';
-              Buffer.add_string buf (string_of_int k);
-              (* keep the width in the key *)
-              Buffer.add_char buf
-                (match Op.result_width (G.node g a).op with
-                | Op.Word -> 'w'
-                | Op.Bit -> 'b'));
+          let p = pos.(a) in
+          if p >= 0 then add_int buf p
+          else begin
+            let k =
+              if ext.(a) >= 0 then ext.(a)
+              else begin
+                let k = !n_ext in
+                ext.(a) <- k;
+                ext_ids.(k) <- a;
+                incr n_ext;
+                k
+              end
+            in
+            Buffer.add_char buf 'x';
+            add_int buf k;
+            (* keep the width in the key *)
+            Buffer.add_char buf width_tag.(a)
+          end;
           Buffer.add_char buf ',')
-        nd.args;
+        (G.node g id).args;
       Buffer.add_string buf ");")
     sorted;
+  List.iter (fun id -> pos.(id) <- -1) sorted;
+  for k = 0 to !n_ext - 1 do
+    ext.(ext_ids.(k)) <- -1
+  done;
   Buffer.contents buf
 
 let canonicalize cfg g sub =
@@ -179,7 +205,7 @@ let mine cfg g =
   let canon_cache : (string, Pattern.t) Hashtbl.t = Hashtbl.create 256 in
   let canon_hits = ref 0 in
   let in_sub = Array.make n false in
-  let scratch = make_scratch () in
+  let scratch = make_scratch cfg g in
   (* record each embedding as it is enumerated: budget, grouping and
      the canonicalization cache *)
   let emit sub =
@@ -189,7 +215,7 @@ let mine cfg g =
     (* only patterns with >= 1 compute node are interesting *)
     if List.exists (fun i -> Op.is_compute (G.node g i).op) sub then begin
       let sorted = List.sort compare sub in
-      let sk = shape_key cfg g scratch sorted in
+      let sk = shape_key g scratch sorted in
       let p =
         match Hashtbl.find_opt canon_cache sk with
         | Some p ->

@@ -392,6 +392,11 @@ let rec luby i =
   if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
   else luby (i - (1 lsl (!k - 1)) + 1)
 
+let new_level s =
+  s.trail_lim <- grow_int s.trail_lim (s.n_lim + 1) 0;
+  s.trail_lim.(s.n_lim) <- s.trail_size;
+  s.n_lim <- s.n_lim + 1
+
 let pick_branch_var s =
   let v = ref (-1) in
   while !v = -1 && s.heap_size > 0 do
@@ -400,7 +405,12 @@ let pick_branch_var s =
   done;
   !v
 
-let solve ?(conflict_budget = max_int) s =
+(* MiniSat-style assumptions: assumption [k] is decided on level [k+1]
+   before any VSIDS decision.  One that already holds still opens an
+   (empty) level so the level-to-assumption mapping stays fixed; one
+   that is already false answers Unsat without touching [ok], because
+   only a level-0 conflict refutes the clauses themselves. *)
+let solve ?(conflict_budget = max_int) ?(assumptions = []) s =
   Apex_telemetry.Counter.incr "smt.solver_calls";
   if Apex_guard.Fault.fire "smt-exhaust" then begin
     (* injected budget exhaustion: exactly the Unknown a conflict-budget
@@ -419,6 +429,7 @@ let solve ?(conflict_budget = max_int) s =
     else begin
     cancel_until s 0;
     s.model_valid <- false;
+    let assumptions = Array.of_list assumptions in
     let result = ref None in
     let total_conflicts = ref 0 in
     let conflicts_this = ref 0 in
@@ -460,6 +471,15 @@ let solve ?(conflict_budget = max_int) s =
           end
         end
       end
+      else if current_level s < Array.length assumptions then begin
+        let a = assumptions.(current_level s) in
+        match lit_value s a with
+        | 1 -> new_level s
+        | 0 -> result := Some Unsat
+        | _ ->
+            new_level s;
+            enqueue s a (-1)
+      end
       else begin
         let v = pick_branch_var s in
         if v = -1 then begin
@@ -470,9 +490,7 @@ let solve ?(conflict_budget = max_int) s =
         end
         else begin
           s.decisions <- s.decisions + 1;
-          s.trail_lim <- grow_int s.trail_lim (s.n_lim + 1) 0;
-          s.trail_lim.(s.n_lim) <- s.trail_size;
-          s.n_lim <- s.n_lim + 1;
+          new_level s;
           enqueue s (if s.phase.(v) then pos v else neg v) (-1)
         end
       end

@@ -2,8 +2,8 @@
 
     Features: two-watched-literal propagation, first-UIP conflict
     analysis with clause learning, non-chronological backjumping, VSIDS
-    branching with a variable-order heap, phase saving, and Luby
-    restarts.  No clause deletion: the formulas produced by rewrite-rule
+    branching with a variable-order heap, phase saving, Luby restarts,
+    and solving under assumptions.  No clause deletion: the formulas produced by rewrite-rule
     verification are small enough not to need it.
 
     Literals are integers: variable [v] (0-based) appears positively as
@@ -31,13 +31,23 @@ val negate : int -> int
 
 val add_clause : t -> int list -> unit
 (** Add a clause (list of literals).  Adding the empty clause makes the
-    instance trivially unsatisfiable.  Clauses may only be added before
-    the first [solve] call or after a [Sat]/[Unsat] answer (the solver
-    resets its trail). *)
+    instance trivially unsatisfiable.  Clauses may be added at any time
+    outside [solve]: every [solve] returns with the trail back at level
+    0, whatever its answer. *)
 
-val solve : ?conflict_budget:int -> t -> result
-(** Decide satisfiability.  [conflict_budget] bounds the number of
-    conflicts (default: unlimited). *)
+val solve : ?conflict_budget:int -> ?assumptions:int list -> t -> result
+(** Decide satisfiability of the clauses together with the
+    [assumptions] literals (default: none).  [conflict_budget] bounds
+    the conflicts of this call alone (default: unlimited); a later call
+    starts its count from zero.
+
+    Assumptions hold for one call only.  Clauses learned under them are
+    implied by the clauses alone and stay, so a sequence of queries on
+    one instance shares its learning.  [Unsat] under assumptions means
+    the clauses contradict those assumptions; the instance stays
+    usable, and a later call with other assumptions (or none) answers
+    afresh.  Only a conflict that needs no assumption makes every later
+    call [Unsat]. *)
 
 val model_value : t -> int -> bool
 (** Value of a variable in the last [Sat] model.

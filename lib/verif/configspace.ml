@@ -87,8 +87,10 @@ type report = {
    - T_{pos,n} output position [pos] exposes node [n] (at most one;
                candidates come from the registered configs, mirroring
                [n_config_bits]'s output-select accounting).
-   A selected source that is an FU must itself be active.  The solver
-   is fresh per query — instances are tiny and queries independent. *)
+   A selected source that is an FU must itself be active.  One
+   instance per datapath answers all of its queries, each under its
+   own assumptions: encoding costs far more than solving, and the
+   clauses a query learns hold for every other query. *)
 
 type enc = {
   sat : Sat.t;
@@ -208,8 +210,8 @@ let encode (dp : D.t) =
 
 let query_budget = 50_000
 
-let solve3 sat =
-  match Sat.solve ~conflict_budget:query_budget sat with
+let solve3 ?assumptions sat =
+  match Sat.solve ~conflict_budget:query_budget ?assumptions sat with
   | Sat.Sat -> Some true
   | Sat.Unsat -> Some false
   | Sat.Unknown -> None
@@ -218,26 +220,26 @@ exception Unreal
 
 (* Is the registered config decodable under the legality constraints?
    The config's meaningful select decisions (active ops, routes of
-   ports its ops actually read, outputs) are asserted as units together
-   with the inactivity of every other FU; a missing literal — an op
-   outside the FU's menu, a route over a non-existent edge — is
-   unrealizable outright.  Spurious routes at ports no active op reads
-   are dead select encodings (APX030's business), not asserted here. *)
-let config_realizable (dp : D.t) (cfg : D.config) =
-  let e = encode dp in
-  let n = Array.length dp.D.nodes in
-  try
-    List.iter
-      (fun (f, op) ->
-        match Hashtbl.find_opt e.op_sel (f, op) with
-        | Some v -> Sat.add_clause e.sat [ Sat.pos v ]
-        | None -> raise Unreal)
-      cfg.D.fu_ops;
+   ports its ops actually read, outputs) are assumed together with the
+   inactivity of every other FU; a missing literal — an op outside the
+   FU's menu, a route over a non-existent edge — is unrealizable
+   outright, with no solve.  Spurious routes at ports no active op
+   reads are dead select encodings (APX030's business), not assumed
+   here. *)
+let realizable_in e (cfg : D.config) =
+  let lits = ref [] in
+  let assume l = lits := l :: !lits in
+  let lit tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> Sat.pos v
+    | None -> raise Unreal
+  in
+  match
+    List.iter (fun (f, op) -> assume (lit e.op_sel (f, op))) cfg.D.fu_ops;
     Array.iteri
       (fun id a ->
         match a with
-        | Some a when not (List.mem_assoc id cfg.D.fu_ops) ->
-            Sat.add_clause e.sat [ Sat.neg a ]
+        | Some a when not (List.mem_assoc id cfg.D.fu_ops) -> assume (Sat.neg a)
         | _ -> ())
       e.active;
     List.iter
@@ -245,56 +247,48 @@ let config_realizable (dp : D.t) (cfg : D.config) =
         for port = 0 to Op.arity op - 1 do
           match List.assoc_opt (f, port) cfg.D.routes with
           | None -> raise Unreal
-          | Some s -> (
-              match Hashtbl.find_opt e.src_sel (f, port, s) with
-              | Some v -> Sat.add_clause e.sat [ Sat.pos v ]
-              | None -> raise Unreal)
+          | Some s -> assume (lit e.src_sel (f, port, s))
         done)
       cfg.D.fu_ops;
-    List.iter
-      (fun (pos, node) ->
-        match Hashtbl.find_opt e.out_sel (pos, node) with
-        | Some v -> Sat.add_clause e.sat [ Sat.pos v ]
-        | None -> raise Unreal)
-      cfg.D.outputs;
-    ignore n;
-    solve3 e.sat
-  with Unreal -> Some false
+    List.iter (fun (pos, node) -> assume (lit e.out_sel (pos, node))) cfg.D.outputs
+  with
+  | () -> solve3 ~assumptions:(List.rev !lits) e.sat
+  | exception Unreal -> Some false
 
-let fu_activatable (dp : D.t) f =
-  if f < 0 || f >= Array.length dp.D.nodes then Some false
-  else
-    let e = encode dp in
-    match e.active.(f) with
-    | None -> Some false
-    | Some a ->
-        Sat.add_clause e.sat [ Sat.pos a ];
-        solve3 e.sat
+(* Can some legal word observe the resource?  An FU must be
+   activatable; a non-FU node must be selected as a source or exposed
+   as an output somewhere; an edge must be selectable.  The node case
+   is a disjunction, asked through a fresh selector [sel] guarding
+   [sel -> l1 \/ ... \/ lk] and retired with a unit [-sel] afterwards, so
+   the instance keeps answering every other query as before. *)
+let activatable_in e = function
+  | Fu_r f -> (
+      match if f < 0 || f >= Array.length e.active then None else e.active.(f) with
+      | None -> Some false
+      | Some a -> solve3 ~assumptions:[ Sat.pos a ] e.sat)
+  | Creg_r id | Port_r id -> (
+      let lits = ref [] in
+      Hashtbl.iter
+        (fun (_, _, s) v -> if s = id then lits := Sat.pos v :: !lits)
+        e.src_sel;
+      Hashtbl.iter
+        (fun (_, node) v -> if node = id then lits := Sat.pos v :: !lits)
+        e.out_sel;
+      match List.sort compare !lits with
+      | [] -> Some false
+      | lits ->
+          let sel = Sat.new_var e.sat in
+          Sat.add_clause e.sat (Sat.neg sel :: lits);
+          let answer = solve3 ~assumptions:[ Sat.pos sel ] e.sat in
+          Sat.add_clause e.sat [ Sat.neg sel ];
+          answer)
+  | Edge_r { src; dst; port } -> (
+      match Hashtbl.find_opt e.src_sel (dst, port, src) with
+      | None -> Some false
+      | Some v -> solve3 ~assumptions:[ Sat.pos v ] e.sat)
 
-(* a non-FU node is observable iff some legal assignment selects it as
-   a source or as an exposed output *)
-let source_activatable (dp : D.t) id =
-  let e = encode dp in
-  let lits = ref [] in
-  Hashtbl.iter
-    (fun (_, _, s) v -> if s = id then lits := Sat.pos v :: !lits)
-    e.src_sel;
-  Hashtbl.iter
-    (fun (_, node) v -> if node = id then lits := Sat.pos v :: !lits)
-    e.out_sel;
-  match List.sort compare !lits with
-  | [] -> Some false
-  | lits ->
-      Sat.add_clause e.sat lits;
-      solve3 e.sat
-
-let edge_activatable (dp : D.t) ~src ~dst ~port =
-  let e = encode dp in
-  match Hashtbl.find_opt e.src_sel (dst, port, src) with
-  | None -> Some false
-  | Some v ->
-      Sat.add_clause e.sat [ Sat.pos v ];
-      solve3 e.sat
+let config_realizable (dp : D.t) cfg = realizable_in (encode dp) cfg
+let fu_activatable (dp : D.t) f = activatable_in (encode dp) (Fu_r f)
 
 (* --- reachability: participation in registered configs --- *)
 
@@ -342,14 +336,8 @@ let unreachable_resources (dp : D.t) (node_used, edge_used) =
    pure fabric waste) or encodable (some assignment outside the
    registered set reaches it — config-bit over-encoding).  The budget
    answer Unknown conservatively classifies as encodable. *)
-let classify dp r =
-  let sat_says =
-    match r with
-    | Fu_r f -> fu_activatable dp f
-    | Creg_r id | Port_r id -> source_activatable dp id
-    | Edge_r { src; dst; port } -> edge_activatable dp ~src ~dst ~port
-  in
-  match sat_says with Some false -> Dead | Some true | None -> Encodable
+let classify e r =
+  match activatable_in e r with Some false -> Dead | Some true | None -> Encodable
 
 (* --- mutual exclusion over registered configs --- *)
 
@@ -564,22 +552,24 @@ let smt_equiv (dp : D.t) (dp' : D.t) remap (cfg : D.config) (cfg' : D.config) =
 
 (* --- the full analysis --- *)
 
-let survey (dp : D.t) =
+(* one legality instance answers every realizability and reachability
+   query of the datapath, each under its own assumptions *)
+let survey_with (dp : D.t) use =
+  let e = encode dp in
   let realizable = ref [] and unrealizable = ref [] and unknown = ref [] in
   List.iter
     (fun (c : D.config) ->
       Apex_guard.tick ();
-      match config_realizable dp c with
+      match realizable_in e c with
       | Some true -> realizable := c.D.label :: !realizable
       | Some false -> unrealizable := c.D.label :: !unrealizable
       | None -> unknown := c.D.label :: !unknown)
     dp.D.configs;
-  let use = usage dp in
   let unreachable =
     List.map
       (fun r ->
         Apex_guard.tick ();
-        (r, classify dp r))
+        (r, classify e r))
       (unreachable_resources dp use)
   in
   let bits_total = D.n_config_bits dp in
@@ -597,6 +587,8 @@ let survey (dp : D.t) =
     excl_pairs;
     cliques;
     gated = List.sort_uniq compare (List.concat cliques) }
+
+let survey dp = survey_with dp (usage dp)
 
 let empty_survey dp =
   let bits = D.n_config_bits dp in
@@ -625,7 +617,9 @@ let record_counters (r : report) =
   Counter.add "analysis.configspace.proofs_proved" r.proofs_proved;
   Counter.add "analysis.configspace.proofs_tested" r.proofs_tested;
   Counter.add "analysis.configspace.proofs_reverted"
-    (if r.reverted then 1 else 0)
+    (if r.reverted then 1 else 0);
+  (* [survey] builds one legality instance per datapath with configs *)
+  Counter.add "analysis.configspace.encodings" (if r.n_configs > 0 then 1 else 0)
 
 let analyze ?(label = "datapath") (dp : D.t) =
   Apex_guard.with_phase "analysis" @@ fun () ->
@@ -650,8 +644,8 @@ let analyze ?(label = "datapath") (dp : D.t) =
            reverted = false; degraded = smt_down },
          dp)
       else begin
-        let sv = survey dp in
         let use = usage dp in
+        let sv = survey_with dp use in
         let pruned, remap = prune dp use in
         let pruned_nodes =
           Array.length dp.D.nodes - Array.length pruned.D.nodes

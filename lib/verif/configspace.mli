@@ -66,10 +66,13 @@ val analyze :
 val config_realizable :
   Apex_merging.Datapath.t -> Apex_merging.Datapath.config -> bool option
 (** Does any legal configuration word decode to this config's select
-    decisions?  [None] when the SAT budget is exhausted. *)
+    decisions?  [None] when the SAT budget is exhausted.  Encodes the
+    datapath afresh for this one query; {!survey} asks it of every
+    registered config on a single encoding. *)
 
 val fu_activatable : Apex_merging.Datapath.t -> int -> bool option
-(** Can any legal configuration word activate this FU? *)
+(** Can any legal configuration word activate this FU?  Encodes the
+    datapath afresh, like {!config_realizable}. *)
 
 val gated_fus : Apex_merging.Datapath.t -> int list
 (** FUs that share a mutual-exclusion clique of size >= 2 — a cheap,

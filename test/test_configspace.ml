@@ -231,6 +231,76 @@ let test_fault_degrades_to_tested () =
   Alcotest.(check bool) "identical pruning" true
     (pruned_faulted = pruned_clean)
 
+(* --- one encoding per datapath agrees with a fresh one per query --- *)
+
+(* [survey] asks every realizability and reachability question of a
+   datapath on one legality instance under assumptions; the public
+   per-query entry points encode afresh each time.  Their verdicts must
+   agree on the datapaths [Variants.make] really surveys: the merged
+   datapaths before pruning (a variant's own [dp] is the pruned one). *)
+let unpruned_variants () =
+  let module Dse = Apex.Dse in
+  let module Variants = Apex.Variants in
+  (* a variant's datapath before pruning, and the pruned one it keeps *)
+  let merged base (v : Variants.t) =
+    ( List.fold_left
+        (fun dp p -> fst (Apex_merging.Merge.merge dp p))
+        base v.Variants.patterns,
+      Some v.Variants.dp )
+  in
+  let camera = Apex.Optimize.app (Apex_halide.Apps.by_name "camera") in
+  let camera_base () =
+    Library.subset ~ops:(Library.ops_of_graph camera.Apex_halide.Apps.graph)
+  in
+  (("PE Base", merged (Library.baseline ()) (Dse.baseline ()))
+  :: List.init 5 (fun k ->
+         ( Printf.sprintf "camera PE %d" (k + 1),
+           merged (camera_base ()) (Dse.pe_k camera k) )))
+  @ [ ("PE IP", merged (Library.subset ~ops:Library.baseline_ops) (Dse.pe_ip ()));
+      (* and one with a SAT-dead FU, so the Fu_r comparison bites *)
+      ( "isolated FU",
+        let dp = tiny_dp () in
+        ( { dp with
+            D.nodes =
+              Array.append dp.D.nodes
+                [| { D.id = 3; kind = D.Fu "alu"; ops = [ Op.Add ]; width = 16 } |] },
+          None ) ) ]
+
+let test_shared_encoding_agrees () =
+  let dead_fus = ref 0 in
+  List.iter
+    (fun (name, ((dp : D.t), kept)) ->
+      let report, pruned = Cs.analyze ~label:name dp in
+      Option.iter
+        (fun kept ->
+          Alcotest.(check bool) (name ^ ": rebuilt the surveyed datapath") true
+            (pruned = kept))
+        kept;
+      let sv = report.Cs.survey in
+      let fresh verdict =
+        List.filter_map
+          (fun (c : D.config) ->
+            if Cs.config_realizable dp c = Some verdict then Some c.D.label
+            else None)
+          dp.D.configs
+      in
+      check Alcotest.(list string) (name ^ ": realizable") (fresh true)
+        sv.Cs.realizable;
+      check Alcotest.(list string) (name ^ ": unrealizable") (fresh false)
+        sv.Cs.unrealizable;
+      List.iter
+        (function
+          | Cs.Fu_r f, cls ->
+              if cls = Cs.Dead then incr dead_fus;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: fu %d dead iff not activatable" name f)
+                (cls = Cs.Dead)
+                (Cs.fu_activatable dp f = Some false)
+          | _ -> ())
+        sv.Cs.unreachable)
+    (unpruned_variants ());
+  Alcotest.(check bool) "a dead FU was classified" true (!dead_fus > 0)
+
 (* --- mutual exclusion feeds the energy model --------------------- *)
 
 let test_gating_discount () =
@@ -323,7 +393,9 @@ let () =
           Alcotest.test_case "deterministic report" `Quick
             test_report_deterministic;
           Alcotest.test_case "fault degrades to tested" `Quick
-            test_fault_degrades_to_tested ] );
+            test_fault_degrades_to_tested;
+          Alcotest.test_case "shared encoding agrees with fresh" `Quick
+            test_shared_encoding_agrees ] );
       ( "gating",
         [ Alcotest.test_case "energy discount" `Quick test_gating_discount ] );
       ( "lint",

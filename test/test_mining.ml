@@ -143,6 +143,62 @@ let test_embeddings_are_occurrences () =
           (Pattern.code f.pattern) (List.length embs) (List.length occs))
     found
 
+(* --- mining census golden ---
+
+   The full pattern census of every bundled app at [max_size] 4:
+   a digest of [mine]'s (code, support, embeddings) list in its own
+   order, the enumeration count, and the canonicalization-cache hit
+   count.  The cache key only groups embeddings, so a key that merges
+   two shapes moves the digest and one that splits a shape moves the
+   hit count.  Recorded before the array-indexed shape key replaced
+   the hash-table one. *)
+
+module Apps = Apex_halide.Apps
+
+let census_golden =
+  [ "camera 055ebca72c7137c5e95af256dbc0eb23 enumerated=18210 canon_hits=17618";
+    "harris ef8cd1c651f98a9dc00fd5eef36e4af0 enumerated=10218 canon_hits=9903";
+    "gaussian 94a1b3ede18f22e6145031eb1a842a14 enumerated=1101 canon_hits=1047";
+    "unsharp 6488d64046b74e903209aa869052568a enumerated=2031 canon_hits=1922";
+    "resnet f7f48fd48dd3c94c7789aebe1acb3298 enumerated=1741 canon_hits=1627";
+    "mobilenet c28a32c6a6d4c135b455214ecc19982c enumerated=3857 canon_hits=3712";
+    "laplacian 9b563e7a9f9d869fff89ab8670e1cdcf enumerated=387 canon_hits=292";
+    "stereo 8795ff34e7a2015fc3ad617c0b96379f enumerated=654 canon_hits=475";
+    "fast 8fc9a2238b6b40f223ebc1ae81a4c80e enumerated=21446 canon_hits=21278";
+    "sobel ba9271fdcbed3d745ffd0a13b2dcc3a9 enumerated=318 canon_hits=247";
+    "median3 e8dcb2bcc08f571bc9ac1bdaff46c1e1 enumerated=92 canon_hits=51";
+    "resize 95f0c846478741b9358bf538bf14f600 enumerated=328 canon_hits=281" ]
+
+let census_line (app : Apps.t) =
+  Apex_telemetry.Registry.reset ();
+  Apex_telemetry.Registry.enable ();
+  Fun.protect ~finally:Apex_telemetry.Registry.disable @@ fun () ->
+  let found, stats =
+    Miner.mine { Miner.default_config with max_size = 4 } app.Apps.graph
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (f : Miner.found) ->
+      Buffer.add_string b (Pattern.code f.pattern);
+      Buffer.add_string b (Printf.sprintf "|%d|" f.support);
+      List.iter
+        (fun emb ->
+          List.iter (fun i -> Buffer.add_string b (Printf.sprintf "%d," i)) emb;
+          Buffer.add_char b ';')
+        f.embeddings;
+      Buffer.add_char b '\n')
+    found;
+  Printf.sprintf "%s %s enumerated=%d canon_hits=%d" app.Apps.name
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    stats.Miner.enumerated
+    (Apex_telemetry.Counter.get "mining.canon_cache_hits")
+
+let test_census_golden () =
+  let apps = Apps.evaluated () @ Apps.unseen () @ Apps.extended () in
+  check int "twelve bundled apps" 12 (List.length apps);
+  check (Alcotest.list Alcotest.string) "census" census_golden
+    (List.map census_line apps)
+
 (* --- MIS analysis (Fig. 4) --- *)
 
 let test_mis_add_add () =
@@ -529,7 +585,9 @@ let () =
           Alcotest.test_case "stats" `Quick test_mine_stats;
           Alcotest.test_case "min support filters" `Quick test_min_support_filters;
           Alcotest.test_case "embeddings agree with matcher" `Quick
-            test_embeddings_are_occurrences ] );
+            test_embeddings_are_occurrences;
+          Alcotest.test_case "census golden, all apps" `Quick
+            test_census_golden ] );
       ( "mis",
         [ Alcotest.test_case "Fig. 4: overlapping chain" `Quick test_mis_add_add;
           Alcotest.test_case "disjoint" `Quick test_mis_disjoint;

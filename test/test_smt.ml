@@ -197,9 +197,105 @@ let prop_incremental_adds =
       done;
       !ok)
 
+let model_satisfies s clauses =
+  List.for_all
+    (List.exists (fun l ->
+         let v = l / 2 in
+         if l land 1 = 0 then Sat.model_value s v else not (Sat.model_value s v)))
+    clauses
+
+(* one instance, many assumption sets: each answer is brute force over
+   the clauses plus the assumptions as units, and a plain solve
+   afterwards still answers for the clauses alone, so an Unsat under
+   assumptions never poisons the instance *)
+let prop_assumptions_match_brute_force =
+  QCheck.Test.make ~name:"CDCL under assumptions agrees with brute force"
+    ~count:300 QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 3 + Random.State.int st 8 in
+      let random_lit () =
+        let v = Random.State.int st n in
+        if Random.State.bool st then Sat.pos v else Sat.neg v
+      in
+      let clauses =
+        List.init
+          (1 + Random.State.int st (3 * n))
+          (fun _ ->
+            List.init (1 + Random.State.int st 3) (fun _ -> random_lit ())
+            |> List.sort_uniq compare)
+      in
+      let s = Sat.create () in
+      for _ = 1 to n do
+        ignore (Sat.new_var s)
+      done;
+      List.iter (Sat.add_clause s) clauses;
+      let agrees assumptions =
+        let constraints = List.map (fun l -> [ l ]) assumptions @ clauses in
+        let expected = brute_force n constraints in
+        match Sat.solve ~assumptions s with
+        | Sat.Sat -> expected && model_satisfies s constraints
+        | Sat.Unsat -> not expected
+        | Sat.Unknown -> false
+      in
+      let queries =
+        List.init
+          (2 + Random.State.int st 6)
+          (fun _ -> List.init (Random.State.int st 4) (fun _ -> random_lit ()))
+      in
+      List.for_all agrees queries && agrees [])
+
 let sat_props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_matches_brute_force; prop_incremental_adds ]
+    [ prop_matches_brute_force; prop_incremental_adds;
+      prop_assumptions_match_brute_force ]
+
+let solve_result =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf
+        (match r with Sat.Sat -> "Sat" | Sat.Unsat -> "Unsat" | Sat.Unknown -> "Unknown"))
+    ( = )
+
+let test_contradictory_assumptions () =
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s in
+  Sat.add_clause s [ Sat.pos a; Sat.pos b ];
+  Alcotest.check solve_result "a and not a" Sat.Unsat
+    (Sat.solve ~assumptions:[ Sat.pos a; Sat.neg a ] s);
+  Alcotest.check solve_result "instance still usable" Sat.Sat (Sat.solve s);
+  Alcotest.check solve_result "not a forces b" Sat.Sat
+    (Sat.solve ~assumptions:[ Sat.neg a ] s);
+  Alcotest.(check bool) "b in model" true (Sat.model_value s b)
+
+let test_assumption_forced_at_level0 () =
+  (* a is a unit and a -> b, so both hold at level 0 before any
+     assumption is decided: a true assumption still opens its level,
+     and a false one answers Unsat without refuting the clauses *)
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  Sat.add_clause s [ Sat.pos a ];
+  Sat.add_clause s [ Sat.neg a; Sat.pos b ];
+  Alcotest.check solve_result "assume a" Sat.Sat
+    (Sat.solve ~assumptions:[ Sat.pos a ] s);
+  Alcotest.check solve_result "assume a, then not c" Sat.Sat
+    (Sat.solve ~assumptions:[ Sat.pos a; Sat.neg c ] s);
+  Alcotest.(check bool) "c false in model" false (Sat.model_value s c);
+  Alcotest.check solve_result "assume not b" Sat.Unsat
+    (Sat.solve ~assumptions:[ Sat.pos a; Sat.neg b ] s);
+  Alcotest.check solve_result "plain solve after" Sat.Sat (Sat.solve s)
+
+let test_exhaust_fault_under_assumptions () =
+  let s = Sat.create () in
+  let a = Sat.new_var s in
+  Sat.add_clause s [ Sat.pos a ];
+  let faulted =
+    Fun.protect ~finally:Apex_guard.Fault.disarm (fun () ->
+        Apex_guard.Fault.arm "smt-exhaust";
+        Sat.solve ~assumptions:[ Sat.pos a ] s)
+  in
+  Alcotest.check solve_result "fault answers Unknown" Sat.Unknown faulted;
+  Alcotest.check solve_result "answers again once disarmed" Sat.Sat
+    (Sat.solve ~assumptions:[ Sat.pos a ] s)
 
 
 (* --- bit-vector layer --- *)
@@ -468,7 +564,13 @@ let () =
           Alcotest.test_case "implication chain" `Quick test_implication_chain;
           Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole;
           Alcotest.test_case "graph coloring sat" `Quick test_graph_coloring_sat;
-          Alcotest.test_case "conflict budget" `Quick test_conflict_budget ] );
+          Alcotest.test_case "conflict budget" `Quick test_conflict_budget;
+          Alcotest.test_case "contradictory assumptions" `Quick
+            test_contradictory_assumptions;
+          Alcotest.test_case "assumption forced at level 0" `Quick
+            test_assumption_forced_at_level0;
+          Alcotest.test_case "smt-exhaust under assumptions" `Quick
+            test_exhaust_fault_under_assumptions ] );
       ("sat-properties", sat_props);
       ( "bv",
         [ Alcotest.test_case "boundary exhaustive vs Sem" `Quick
